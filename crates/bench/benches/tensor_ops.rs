@@ -16,10 +16,11 @@ use std::hint::black_box;
 /// Thread counts swept by the kernel benches: the serial baseline plus
 /// the parallel layer at 2 and 4 workers. The cost-aware dispatcher
 /// (`runtime::dispatch_rows`) only actually spawns when a call clears
-/// `CFX_PAR_THRESHOLD` FLOPs per worker *and* the machine has the
-/// cores, so on a single-core runner t2/t4 should match t1 rather than
-/// measure scheduling overhead — a t2/t4 entry slower than its t1
-/// counterpart in a re-recorded BENCH_tensor.json is a regression.
+/// `runtime::DEFAULT_PAR_THRESHOLD` FLOPs per worker *and* the machine
+/// has the cores, so on a single-core runner t2/t4 should match t1
+/// rather than measure scheduling overhead — a t2/t4 entry slower than
+/// its t1 counterpart in a re-recorded BENCH_tensor.json is a
+/// regression.
 const THREAD_SWEEP: [usize; 3] = [1, 2, 4];
 
 fn bench_matmul(c: &mut Criterion) {
@@ -103,8 +104,8 @@ fn bench_fused_kernels(c: &mut Criterion) {
 /// runners are flaky): the t2/t4 entries must never be slower than
 /// their t1 counterpart at these paper-scale shapes. The cost-aware
 /// dispatcher guarantees this structurally — it refuses to spawn when
-/// the work is below `CFX_PAR_THRESHOLD` per worker or when the machine
-/// has fewer cores than the requested thread count.
+/// the work is below `runtime::DEFAULT_PAR_THRESHOLD` per worker or
+/// when the machine has fewer cores than the requested thread count.
 fn bench_pairwise_sq_dists(c: &mut Criterion) {
     let mut group = c.benchmark_group("pairwise_sq_dists");
     group.sample_size(40);

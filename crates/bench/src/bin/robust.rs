@@ -248,9 +248,7 @@ fn main() {
             run_scenarios(&harness, &ensemble, &drift_models, &x, &cf);
         for s in &scenarios {
             eprintln!("  {label:>12} {:<18} {}", s.name, s.report);
-            if cfx_obs::ENABLED {
-                cfx_obs::metrics::counter("cfx_robust_scenarios_total").inc(1);
-            }
+            cfx_obs::metrics::counter("cfx_robust_scenarios_total").inc(1);
         }
         results.push(ModeResult {
             label,

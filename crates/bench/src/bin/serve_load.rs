@@ -363,9 +363,6 @@ fn percentile(sorted: &[Duration], p: f64) -> f64 {
 /// Cache counter snapshot (process-global obs registry; deltas around a
 /// level isolate that level's traffic).
 fn cache_counters() -> (u64, u64) {
-    if !cfx_obs::ENABLED {
-        return (0, 0);
-    }
     (
         cfx_obs::metrics::counter("cfx_serve_cache_hits_total").get(),
         cfx_obs::metrics::counter("cfx_serve_cache_misses_total").get(),

@@ -44,9 +44,8 @@ fn append_json(dataset: DatasetId, rows: &[TableRow]) {
             r.to_json()
         );
     }
-    // Allocation accounting for the run so far (zeros unless the
-    // `pool-stats` feature is on): steady-state training should show a
-    // hit rate near 1 once the pool is warm.
+    // Allocation accounting for the run so far: steady-state training
+    // should show a hit rate near 1 once the pool is warm.
     let s = cfx_tensor::pool::stats();
     let _ = writeln!(
         file,

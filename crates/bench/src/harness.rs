@@ -520,9 +520,6 @@ pub fn parse_cli(
 /// then `--trace-out` (opens the JSONL sink and arms the op-level tape
 /// profiler). Call once after [`parse_cli`], before building harnesses.
 pub fn init_telemetry(config: &HarnessConfig) {
-    if !cfx_obs::ENABLED {
-        return;
-    }
     if let Err(e) = cfx_obs::init_from_env() {
         panic!("CFX_TRACE: cannot open trace sink: {e}");
     }
@@ -538,9 +535,6 @@ pub fn init_telemetry(config: &HarnessConfig) {
 /// human-readable top-N op profile to stderr when the profiler was
 /// armed, and flushes + closes the JSONL sink.
 pub fn finish_telemetry(config: &HarnessConfig) {
-    if !cfx_obs::ENABLED {
-        return;
-    }
     cfx_tensor::profile::export_metrics();
     if let Some(path) = &config.prom_out {
         cfx_obs::metrics::write_prometheus(path)

@@ -3,8 +3,6 @@
 //! the generator back, the row evaluates panic-free with finite cells,
 //! and the provenance tally reports how much of the batch needed help.
 
-#![cfg(feature = "guard")]
-
 use cfx_bench::{FeasColumns, Harness, HarnessConfig, RunSize};
 use cfx_core::{ConstraintMode, FeasibleCfConfig, FeasibleCfModel, TrainStatus};
 use cfx_data::DatasetId;

@@ -260,7 +260,7 @@ impl WatchdogConfig {
 }
 
 /// Graceful-degradation settings for counterfactual generation
-/// ([`FeasibleCfModel::explain_batch_with`](crate::FeasibleCfModel::explain_batch_with)).
+/// ([`FeasibleCfModel::explain_batch_deadline_stream`](crate::FeasibleCfModel::explain_batch_deadline_stream)).
 ///
 /// Samples whose first-shot CF is invalid or infeasible are re-decoded
 /// with perturbed latents up to `resample_attempts` times; whatever still

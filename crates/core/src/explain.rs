@@ -6,6 +6,7 @@ use crate::config::GenRecoveryConfig;
 use crate::model::FeasibleCfModel;
 use cfx_data::{csv::format_value, Encoding, Schema, Value};
 use cfx_manifold::pairwise_sq_dists;
+use cfx_obs::metrics::{counter, histogram};
 use cfx_tensor::{CfxError, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -119,20 +120,14 @@ fn rate(examples: &[Counterfactual], pred: impl Fn(&Counterfactual) -> bool) -> 
 
 impl FeasibleCfModel {
     /// Explains every row of `x`: generates a counterfactual, classifies
-    /// it, and checks the active constraints, with graceful degradation
-    /// under default [`GenRecoveryConfig`] budgets (see
-    /// [`explain_batch_with`](Self::explain_batch_with)).
-    pub fn explain_batch(&self, x: &Tensor) -> ExplanationBatch {
-        self.explain_batch_with(x, &GenRecoveryConfig::default())
-    }
-
-    /// The degradation ladder behind [`explain_batch`](Self::explain_batch):
+    /// it, and checks the active constraints, degrading gracefully under
+    /// default [`GenRecoveryConfig`] budgets:
     ///
     /// 1. **First shot** — deterministic posterior-mean decode.
     /// 2. **Resampling** — rows whose counterfactual is non-finite, or
     ///    neither valid nor feasible, are re-decoded with perturbed
-    ///    latents up to `recovery.resample_attempts` times (fixed seeds,
-    ///    so the result is deterministic).
+    ///    latents up to `resample_attempts` times (fixed seeds, so the
+    ///    result is deterministic).
     /// 3. **Fallback** — whatever still fails gets the nearest
     ///    desired-class training-pool row (FACE-style nearest-neighbor
     ///    search), with immutable columns restored from the input. When
@@ -141,26 +136,16 @@ impl FeasibleCfModel {
     ///
     /// Every sample therefore always receives a finite counterfactual;
     /// [`Counterfactual::provenance`] records which rung produced it.
-    ///
-    /// Panics on an invalid `recovery` (see
-    /// [`GenRecoveryConfig::validate`]) — the fallible entry points
-    /// ([`explain_batch_deadline`](Self::explain_batch_deadline) and the
-    /// serving layer) surface the same condition as
-    /// [`CfxError::Config`] instead.
-    pub fn explain_batch_with(
-        &self,
-        x: &Tensor,
-        recovery: &GenRecoveryConfig,
-    ) -> ExplanationBatch {
-        self.explain_rungs(x, recovery, None, 0).expect(
+    pub fn explain_batch(&self, x: &Tensor) -> ExplanationBatch {
+        self.explain_rungs(x, &GenRecoveryConfig::default(), None, 0).expect(
             "explain without a deadline can only fail on an invalid \
              GenRecoveryConfig",
         )
     }
 
-    /// Deadline-bounded [`explain_batch_with`](Self::explain_batch_with):
-    /// the degradation ladder is cut short once `deadline` is spent
-    /// instead of silently burning time the caller no longer has.
+    /// The [`explain_batch`](Self::explain_batch) ladder under caller-set
+    /// `recovery` budgets, cut short once `deadline` is spent instead of
+    /// silently burning time the caller no longer has:
     ///
     /// - A zero budget, or a first decode that alone exceeds the budget,
     ///   returns [`CfxError::Timeout`] — the caller (e.g. the serving
@@ -169,32 +154,21 @@ impl FeasibleCfModel {
     ///   are skipped and still-broken rows jump straight to the cheap
     ///   nearest-neighbor fallback, so every returned batch is complete
     ///   and finite. The cut is observable (`cfx_explain_deadline_cut_total`).
+    /// - An invalid `recovery` (see [`GenRecoveryConfig::validate`]) is a
+    ///   [`CfxError::Config`].
     ///
-    /// With the same inputs and a budget large enough that nothing is
-    /// cut, the result is bitwise identical to
-    /// [`explain_batch_with`](Self::explain_batch_with).
-    pub fn explain_batch_deadline(
-        &self,
-        x: &Tensor,
-        recovery: &GenRecoveryConfig,
-        deadline: Duration,
-    ) -> Result<ExplanationBatch, CfxError> {
-        self.explain_rungs(x, recovery, Some(deadline), 0)
-    }
-
-    /// [`explain_batch_deadline`](Self::explain_batch_deadline) on a
-    /// named RNG stream: `stream` is folded into the seed of every
-    /// recovery-resampling attempt, so callers that partition work —
-    /// the serving daemon's worker pool derives `stream` from the
-    /// request rows' content fingerprint — get resampling noise that is
-    /// (a) decorrelated across distinct streams and (b) a pure function
-    /// of the stream id, never of which thread, worker, or batch the
-    /// job landed in. `stream == 0` is the historical stream:
-    /// bitwise-identical to
-    /// [`explain_batch_deadline`](Self::explain_batch_deadline).
-    ///
+    /// `stream` is folded into the seed of every recovery-resampling
+    /// attempt, so callers that partition work — the serving daemon's
+    /// worker pool derives `stream` from the request rows' content
+    /// fingerprint — get resampling noise that is (a) decorrelated
+    /// across distinct streams and (b) a pure function of the stream
+    /// id, never of which thread, worker, or batch the job landed in.
     /// The deterministic first-shot decode ignores the stream entirely;
     /// only the rung-2 perturbation noise is stream-keyed.
+    ///
+    /// With default `recovery`, `stream == 0` and a budget large enough
+    /// that nothing is cut, the result is bitwise identical to
+    /// [`explain_batch`](Self::explain_batch).
     pub fn explain_batch_deadline_stream(
         &self,
         x: &Tensor,
@@ -223,7 +197,6 @@ impl FeasibleCfModel {
                 return Err(CfxError::timeout("explain_batch admission", 0));
             }
         }
-        let timer = cfx_obs::Timer::start();
         let _span = cfx_obs::span!("explain_batch", rows = x.rows());
         let cf = self.counterfactuals(x);
         let input_classes = self.blackbox().predict(x);
@@ -285,15 +258,12 @@ impl FeasibleCfModel {
             // resample rungs and let still-broken rows take the cheap
             // nearest-neighbor fallback below. Observable, not silent.
             if budget.as_ref().is_some_and(over) {
-                if cfx_obs::ENABLED {
-                    cfx_obs::event!(
-                        "explain_deadline_cut",
-                        attempt = attempt,
-                        pending = pending.len(),
-                    );
-                    cfx_obs::metrics::counter("cfx_explain_deadline_cut_total")
-                        .inc(1);
-                }
+                cfx_obs::event!(
+                    "explain_deadline_cut",
+                    attempt = attempt,
+                    pending = pending.len(),
+                );
+                counter("cfx_explain_deadline_cut_total").inc(1);
                 break;
             }
             let xb = x.gather_rows_pooled(&pending);
@@ -358,32 +328,29 @@ impl FeasibleCfModel {
             self.fallback_fill(x, &fallback, &mut examples);
         }
         let batch = ExplanationBatch { examples };
-        if cfx_obs::ENABLED {
-            let counts = batch.provenance_counts();
-            let rows = batch.examples.len();
-            let dur_ns = timer.elapsed_ns();
-            let ns_per_cf = dur_ns / rows.max(1) as u64;
-            cfx_obs::event!(
-                "explain_batch",
-                rows = rows,
-                first_shot = counts.first_shot,
-                resampled = counts.resampled,
-                fallback = counts.fallback,
-                dur_ns = dur_ns,
-                ns_per_cf = ns_per_cf,
-            );
-            use cfx_obs::metrics::{counter, histogram};
-            counter("cfx_explain_rows_total").inc(rows as u64);
-            counter("cfx_explain_first_shot_total").inc(counts.first_shot as u64);
-            counter("cfx_explain_resampled_total").inc(counts.resampled as u64);
-            counter("cfx_explain_fallback_total").inc(counts.fallback as u64);
-            // Per-counterfactual latency, bucketed 10µs .. 1s.
-            histogram(
-                "cfx_explain_cf_latency_ns",
-                &[1e4, 1e5, 1e6, 1e7, 1e8, 1e9],
-            )
-            .observe(ns_per_cf as f64);
-        }
+        let counts = batch.provenance_counts();
+        let rows = batch.examples.len();
+        let dur_ns = start.elapsed().as_nanos() as u64;
+        let ns_per_cf = dur_ns / rows.max(1) as u64;
+        cfx_obs::event!(
+            "explain_batch",
+            rows = rows,
+            first_shot = counts.first_shot,
+            resampled = counts.resampled,
+            fallback = counts.fallback,
+            dur_ns = dur_ns,
+            ns_per_cf = ns_per_cf,
+        );
+        counter("cfx_explain_rows_total").inc(rows as u64);
+        counter("cfx_explain_first_shot_total").inc(counts.first_shot as u64);
+        counter("cfx_explain_resampled_total").inc(counts.resampled as u64);
+        counter("cfx_explain_fallback_total").inc(counts.fallback as u64);
+        // Per-counterfactual latency, bucketed 10µs .. 1s.
+        histogram(
+            "cfx_explain_cf_latency_ns",
+            &[1e4, 1e5, 1e6, 1e7, 1e8, 1e9],
+        )
+        .observe(ns_per_cf as f64);
         Ok(batch)
     }
 

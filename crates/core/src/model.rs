@@ -10,6 +10,7 @@ use crate::loss::{cf_loss, cf_loss_robust};
 use crate::mask::ImmutableMask;
 use cfx_data::{DatasetId, EncodedDataset};
 use cfx_models::{BlackBox, Cvae, EnsembleBlackBox};
+use cfx_obs::metrics::{counter, gauge};
 use cfx_tensor::init::randn_tensor;
 use cfx_tensor::stable_sigmoid;
 use cfx_tensor::Activation;
@@ -520,8 +521,7 @@ impl FeasibleCfModel {
                     fault = format!("{f:?}"),
                     lr = lr,
                 );
-                cfx_obs::metrics::counter("cfx_watchdog_rollbacks_total")
-                    .inc(1);
+                counter("cfx_watchdog_rollbacks_total").inc(1);
                 report.events.push(RecoveryEvent {
                     epoch,
                     retry: report.retries,
@@ -580,17 +580,13 @@ impl FeasibleCfModel {
                 grad_norm = grad_norm_sum / b,
                 batches = batches,
             );
-            if cfx_obs::ENABLED {
-                use cfx_obs::metrics::{counter, gauge};
-                gauge("cfx_train_loss_total").set(stats.total as f64);
-                gauge("cfx_train_loss_validity").set(stats.validity as f64);
-                gauge("cfx_train_loss_proximity").set(stats.proximity as f64);
-                gauge("cfx_train_loss_feasibility")
-                    .set(stats.feasibility as f64);
-                gauge("cfx_train_loss_sparsity").set(stats.sparsity as f64);
-                gauge("cfx_train_lr").set(lr as f64);
-                counter("cfx_train_epochs_total").inc(1);
-            }
+            gauge("cfx_train_loss_total").set(stats.total as f64);
+            gauge("cfx_train_loss_validity").set(stats.validity as f64);
+            gauge("cfx_train_loss_proximity").set(stats.proximity as f64);
+            gauge("cfx_train_loss_feasibility").set(stats.feasibility as f64);
+            gauge("cfx_train_loss_sparsity").set(stats.sparsity as f64);
+            gauge("cfx_train_lr").set(lr as f64);
+            counter("cfx_train_epochs_total").inc(1);
             report.history.push(stats);
             if stats.total < best_total {
                 best_total = stats.total;
@@ -845,10 +841,7 @@ impl FeasibleCfModel {
                 // tests/robust_prop.rs.
                 let member_logits =
                     ensemble.forward_members_tape(tape, x_cf);
-                if cfx_obs::ENABLED {
-                    cfx_obs::metrics::counter("cfx_robust_batches_total")
-                        .inc(1);
-                }
+                counter("cfx_robust_batches_total").inc(1);
                 cf_loss_robust(
                     tape,
                     xv,

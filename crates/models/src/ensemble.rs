@@ -132,10 +132,7 @@ impl EnsembleBlackBox {
                 seed = mcfg.seed,
                 final_loss = last,
             );
-            if cfx_obs::ENABLED {
-                cfx_obs::metrics::counter("cfx_robust_members_trained_total")
-                    .inc(1);
-            }
+            cfx_obs::metrics::counter("cfx_robust_members_trained_total").inc(1);
             histories.push(losses);
         }
         histories

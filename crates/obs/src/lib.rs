@@ -21,15 +21,16 @@
 //! Telemetry must never perturb numeric results. Nothing in this crate
 //! consumes RNG state, reorders floating-point work, or feeds back into
 //! the computation: instrumentation only *reads* values and timestamps
-//! them. Weights are bitwise identical with telemetry enabled,
-//! disabled, and compiled out (pinned by `tests/obs_prop.rs`).
+//! them. Weights are bitwise identical with telemetry on and off
+//! (pinned by `tests/obs_prop.rs`).
 //!
-//! # Compile-out
+//! # Cost when off
 //!
-//! With the default `enabled` feature off, [`ENABLED`] is `false` and
-//! every macro still type-checks its arguments but expands to a branch
-//! on a `false` const, which the optimizer deletes — the disabled path
-//! is a true no-op with no atomics, locks, or clock reads.
+//! Telemetry is always compiled in and switched at run time: by
+//! `CFX_TRACE` ([`init_from_env`]), [`init_jsonl`] and [`set_stderr`].
+//! With no sink open, every macro costs at most two relaxed atomic
+//! loads and evaluates none of its field expressions. Metrics are
+//! always recorded.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -43,15 +44,11 @@ pub mod trace;
 
 pub use sink::{
     close_jsonl, emit_event, emit_request, emit_stage, flush_jsonl, init_from_env, init_jsonl,
-    jsonl_active, log_active, mono_ns, set_stderr, stderr_active, stderr_block, write_atomic,
-    Level,
+    jsonl_active, log_active, mono_ns, set_stderr, stderr_active, stderr_block, trace_env,
+    write_atomic, Level,
 };
 pub use span::{current_span, SpanGuard};
 pub use trace::{current_trace, TraceId, TraceScope};
-
-/// `true` iff the `enabled` feature is compiled in. All emission macros
-/// branch on this const first, so the disabled build folds to nothing.
-pub const ENABLED: bool = cfg!(feature = "enabled");
 
 /// Version stamped on every JSONL line as `"schema_version"`. Bump on
 /// any backwards-incompatible change to the line layout.
@@ -114,28 +111,6 @@ impl From<String> for FieldValue {
     }
 }
 
-/// A monotonic stopwatch that is inert when telemetry is compiled out.
-///
-/// `elapsed_ns()` reports 0 in the disabled build, so call sites can
-/// compute derived fields unconditionally.
-pub struct Timer(Option<std::time::Instant>);
-
-impl Timer {
-    /// Starts the stopwatch (a no-op when [`ENABLED`] is false).
-    pub fn start() -> Self {
-        if ENABLED {
-            Timer(Some(std::time::Instant::now()))
-        } else {
-            Timer(None)
-        }
-    }
-
-    /// Nanoseconds since [`Timer::start`]; 0 when inert.
-    pub fn elapsed_ns(&self) -> u64 {
-        self.0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0)
-    }
-}
-
 /// Emits a trace-level structured event to the JSONL sink (if open).
 ///
 /// ```
@@ -147,7 +122,7 @@ impl Timer {
 #[macro_export]
 macro_rules! event {
     ($name:expr $(, $key:ident = $val:expr)* $(,)?) => {
-        if $crate::ENABLED && $crate::jsonl_active() {
+        if $crate::jsonl_active() {
             $crate::emit_event(
                 $name,
                 $crate::Level::Trace,
@@ -163,7 +138,7 @@ macro_rules! event {
 #[macro_export]
 macro_rules! info {
     ($name:expr $(, $key:ident = $val:expr)* $(,)?) => {
-        if $crate::ENABLED && $crate::log_active() {
+        if $crate::log_active() {
             $crate::emit_event(
                 $name,
                 $crate::Level::Info,
@@ -178,7 +153,7 @@ macro_rules! info {
 #[macro_export]
 macro_rules! warn {
     ($name:expr $(, $key:ident = $val:expr)* $(,)?) => {
-        if $crate::ENABLED && $crate::log_active() {
+        if $crate::log_active() {
             $crate::emit_event(
                 $name,
                 $crate::Level::Warn,
@@ -199,7 +174,7 @@ macro_rules! warn {
 #[macro_export]
 macro_rules! span {
     ($name:expr $(, $key:ident = $val:expr)* $(,)?) => {
-        if $crate::ENABLED && $crate::jsonl_active() {
+        if $crate::jsonl_active() {
             $crate::SpanGuard::enter(
                 $name,
                 &[$((stringify!($key), $crate::FieldValue::from($val))),*],

@@ -116,8 +116,7 @@ fn valid_name(name: &str) -> bool {
 }
 
 /// The family a registry key belongs to: the metric name up to the
-/// label block. `cfx_serve_drift_score{feature="c3"}` and
-/// `cfx_serve_drift_score{feature="c7"}` share one family (and one
+/// label block. `m{k="a"}` and `m{k="b"}` share one family (and one
 /// `# TYPE` header in the snapshot).
 fn family_of(key: &str) -> &str {
     key.split('{').next().unwrap_or(key)
@@ -166,9 +165,6 @@ pub fn gauge_labeled(name: &str, labels: &[(&str, &str)]) -> Gauge {
 /// returns a detached handle (debug builds assert).
 pub fn counter(name: &str) -> Counter {
     debug_assert!(valid_name(name), "bad metric name {name:?}");
-    if !crate::ENABLED {
-        return Counter(Arc::new(AtomicU64::new(0)));
-    }
     let mut reg = REGISTRY.lock().unwrap();
     match reg
         .entry(name.to_string())
@@ -191,9 +187,6 @@ pub fn gauge(name: &str) -> Gauge {
 /// Registry lookup shared by [`gauge`] (bare names) and
 /// [`gauge_labeled`] (pre-rendered `name{…}` keys).
 fn gauge_by_key(name: &str) -> Gauge {
-    if !crate::ENABLED {
-        return Gauge(Arc::new(AtomicU64::new(0.0_f64.to_bits())));
-    }
     let mut reg = REGISTRY.lock().unwrap();
     match reg
         .entry(name.to_string())
@@ -216,14 +209,6 @@ pub fn histogram(name: &str, bounds: &[f64]) -> Histogram {
         bounds.windows(2).all(|w| w[0] < w[1]),
         "histogram bounds must be strictly increasing"
     );
-    if !crate::ENABLED {
-        return Histogram(Arc::new(HistInner {
-            bounds: bounds.to_vec(),
-            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0.0_f64.to_bits()),
-        }));
-    }
     let mut reg = REGISTRY.lock().unwrap();
     match reg.entry(name.to_string()).or_insert_with(|| {
         let buckets = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
@@ -269,9 +254,6 @@ fn push_f64(out: &mut String, v: f64) {
 /// (`name{key="value"}` registry keys) sort adjacently to their bare
 /// family name, which gets exactly one `# TYPE` header.
 pub fn prometheus_snapshot() -> String {
-    if !crate::ENABLED {
-        return String::new();
-    }
     let reg = REGISTRY.lock().unwrap();
     let mut out = String::new();
     let mut last_family = String::new();
@@ -338,8 +320,6 @@ mod tests {
             .unwrap_or_else(|e| e.into_inner())
     }
 
-    // Registration is a no-op when the crate is disabled.
-    #[cfg(feature = "enabled")]
     #[test]
     fn counter_and_gauge_snapshot() {
         let _g = lock();
@@ -351,8 +331,6 @@ mod tests {
         assert!(snap.contains("# TYPE test_loss gauge\ntest_loss 0.5\n"));
     }
 
-    // Registration is a no-op when the crate is disabled.
-    #[cfg(feature = "enabled")]
     #[test]
     fn histogram_buckets_are_cumulative() {
         let _g = lock();
@@ -370,8 +348,6 @@ mod tests {
         assert_eq!(h.sum(), 0.5 + 0.7 + 5.0 + 50.0 + 5000.0);
     }
 
-    // Registration is a no-op when the crate is disabled.
-    #[cfg(feature = "enabled")]
     #[test]
     fn labeled_gauges_share_one_type_header() {
         let _g = lock();

@@ -16,7 +16,7 @@
 //! carries. Cheap `AtomicBool`s gate the hot path so instrumented code
 //! pays one relaxed load when no sink is open.
 
-use crate::{json, span, trace, FieldValue, ENABLED, SCHEMA_VERSION};
+use crate::{json, span, trace, FieldValue, SCHEMA_VERSION};
 use std::cell::RefCell;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Write};
@@ -112,9 +112,6 @@ fn queue_line(line: &str, urgent: bool) {
 /// thread exit); a coordinator that has joined its workers and calls
 /// this has the complete log on disk.
 pub fn flush_jsonl() {
-    if !ENABLED {
-        return;
-    }
     let _ = LOCAL_BUF.try_with(|b| flush_buf(&mut b.borrow_mut().buf));
 }
 
@@ -133,16 +130,16 @@ pub(crate) fn thread_id() -> u64 {
     THREAD_ID.with(|id| *id)
 }
 
-/// `true` iff a JSONL sink is open (always `false` when compiled out).
+/// `true` iff a JSONL sink is open.
 #[inline]
 pub fn jsonl_active() -> bool {
-    ENABLED && JSONL_ACTIVE.load(Ordering::Relaxed)
+    JSONL_ACTIVE.load(Ordering::Relaxed)
 }
 
 /// `true` iff the stderr subscriber is on.
 #[inline]
 pub fn stderr_active() -> bool {
-    ENABLED && STDERR_ACTIVE.load(Ordering::Relaxed)
+    STDERR_ACTIVE.load(Ordering::Relaxed)
 }
 
 /// `true` iff `info!`/`warn!` have anywhere to go.
@@ -161,9 +158,6 @@ pub fn set_stderr(on: bool) {
 /// the first telemetry call. The calling thread's pending batch is
 /// flushed to the *old* sink first so lines never migrate files.
 pub fn init_jsonl(path: &Path) -> io::Result<()> {
-    if !ENABLED {
-        return Ok(());
-    }
     clock_origin();
     flush_jsonl();
     if let Some(parent) = path.parent() {
@@ -189,34 +183,35 @@ pub fn close_jsonl() {
     }
 }
 
-/// Configures sinks from the `CFX_TRACE` environment variable:
+/// The `CFX_TRACE` environment variable, read once per process;
+/// `None` when unset or empty. The one reader of the variable: the
+/// tape profiler arms from it as well as [`init_from_env`].
+pub fn trace_env() -> Option<&'static str> {
+    static SPEC: OnceLock<Option<String>> = OnceLock::new();
+    SPEC.get_or_init(|| std::env::var("CFX_TRACE").ok().filter(|v| !v.is_empty()))
+        .as_deref()
+}
+
+/// Configures sinks from [`trace_env`]:
 ///
 /// * unset or empty — nothing happens, returns `Ok(false)`;
 /// * `1` or `stderr` — tracing requested without a file (the tape
-///   profiler arms itself off the same variable), returns `Ok(true)`;
+///   profiler arms itself off the same value), returns `Ok(true)`;
 /// * anything else — treated as a JSONL output path, returns `Ok(true)`.
 pub fn init_from_env() -> io::Result<bool> {
-    if !ENABLED {
+    let Some(spec) = trace_env() else {
         return Ok(false);
+    };
+    if spec != "1" && spec != "stderr" {
+        init_jsonl(Path::new(spec))?;
     }
-    match std::env::var("CFX_TRACE") {
-        Ok(v) if !v.is_empty() => {
-            if v != "1" && v != "stderr" {
-                init_jsonl(Path::new(&v))?;
-            }
-            Ok(true)
-        }
-        _ => Ok(false),
-    }
+    Ok(true)
 }
 
 /// Emits one structured record. Prefer the [`crate::event!`],
 /// [`crate::info!`] and [`crate::warn!`] macros, which gate field
 /// evaluation on an active sink.
 pub fn emit_event(name: &str, level: Level, fields: &[(&str, FieldValue)]) {
-    if !ENABLED {
-        return;
-    }
     write_record("event", name, level, span::current_span(), None, None, fields);
     if level != Level::Trace && stderr_active() {
         let mut line = String::with_capacity(96);

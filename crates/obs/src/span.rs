@@ -5,7 +5,7 @@
 //! is per thread, so spans opened on worker threads parent correctly
 //! within their own thread and never race.
 
-use crate::{sink, FieldValue, ENABLED};
+use crate::{sink, FieldValue};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -19,9 +19,6 @@ thread_local! {
 /// The innermost open span on this thread, if any. Events emitted
 /// while a span is open carry this id.
 pub fn current_span() -> Option<u64> {
-    if !ENABLED {
-        return None;
-    }
     SPAN_STACK.with(|s| s.borrow().last().copied())
 }
 
@@ -37,7 +34,7 @@ impl SpanGuard {
     /// Opens a span now: allocates an id, emits `span_enter` (with
     /// `parent` when nested) and pushes onto this thread's stack.
     pub fn enter(name: &'static str, fields: &[(&str, FieldValue)]) -> SpanGuard {
-        if !ENABLED || !sink::jsonl_active() {
+        if !sink::jsonl_active() {
             return SpanGuard::inert();
         }
         let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);

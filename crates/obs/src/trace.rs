@@ -17,7 +17,6 @@
 //! request that triggered them without threading an id through every
 //! call signature.
 
-use crate::ENABLED;
 use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,9 +82,6 @@ impl fmt::Display for TraceId {
 /// The trace this thread is currently working on behalf of, if any.
 /// JSONL records written while a trace is set carry it as `"trace"`.
 pub fn current_trace() -> Option<TraceId> {
-    if !ENABLED {
-        return None;
-    }
     CURRENT_TRACE.with(|c| c.get())
 }
 
@@ -94,26 +90,20 @@ pub fn current_trace() -> Option<TraceId> {
 /// its own housekeeping trace) on drop.
 pub struct TraceScope {
     prev: Option<TraceId>,
-    armed: bool,
 }
 
 impl TraceScope {
     /// Binds `id` as this thread's current trace until the guard drops.
     pub fn enter(id: TraceId) -> TraceScope {
-        if !ENABLED {
-            return TraceScope { prev: None, armed: false };
-        }
         let prev = CURRENT_TRACE.with(|c| c.replace(Some(id)));
-        TraceScope { prev, armed: true }
+        TraceScope { prev }
     }
 }
 
 impl Drop for TraceScope {
     fn drop(&mut self) {
-        if self.armed {
-            let prev = self.prev;
-            CURRENT_TRACE.with(|c| c.set(prev));
-        }
+        let prev = self.prev;
+        CURRENT_TRACE.with(|c| c.set(prev));
     }
 }
 
@@ -133,7 +123,6 @@ mod tests {
         assert_eq!(&s[16..17], "-");
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn scope_nests_and_restores() {
         assert_eq!(current_trace(), None);

@@ -33,6 +33,7 @@ use crate::queue::BoundedQueue;
 use crate::registry::{ModelRegistry, Servable};
 use cfx_core::Provenance;
 use cfx_obs::json::write_f64;
+use cfx_obs::metrics::{counter, histogram};
 use cfx_tensor::{CfxError, Tensor};
 use std::fmt::Write as _;
 use std::sync::mpsc;
@@ -142,14 +143,11 @@ pub fn run(
         // registry serializes the actual load internally).
         let _ = registry.poll();
         let servable = registry.current();
-        if cfx_obs::ENABLED {
-            use cfx_obs::metrics::{counter, histogram};
-            counter("cfx_serve_batches_total").inc(1);
-            counter("cfx_serve_worker_jobs_total").inc(batch.len() as u64);
-            counter(&jobs_metric).inc(batch.len() as u64);
-            histogram("cfx_serve_batch_rows", &[1.0, 4.0, 16.0, 64.0, 256.0])
-                .observe(rows as f64);
-        }
+        counter("cfx_serve_batches_total").inc(1);
+        counter("cfx_serve_worker_jobs_total").inc(batch.len() as u64);
+        counter(&jobs_metric).inc(batch.len() as u64);
+        histogram("cfx_serve_batch_rows", &[1.0, 4.0, 16.0, 64.0, 256.0])
+            .observe(rows as f64);
         for (job, picked_at) in batch {
             // Bind the request's trace to this thread: every event the
             // explain ladder emits (rung progression, deadline cuts)
@@ -200,9 +198,7 @@ fn explain_job(
     let now = Instant::now();
     if now >= job.deadline {
         // Expired while queued: shed the compute, type the miss.
-        if cfx_obs::ENABLED {
-            cfx_obs::metrics::counter("cfx_serve_expired_total").inc(1);
-        }
+        counter("cfx_serve_expired_total").inc(1);
         return (
             Err(CfxError::timeout("queued explain", job.deadline_ms)),
             0,

@@ -159,19 +159,14 @@ impl ResponseCache {
                 let body = entry.body.clone();
                 drop(shard);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                if cfx_obs::ENABLED {
-                    cfx_obs::metrics::counter("cfx_serve_cache_hits_total")
-                        .inc(1);
-                }
+                cfx_obs::metrics::counter("cfx_serve_cache_hits_total").inc(1);
                 Some(body)
             }
             None => {
                 drop(shard);
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                if cfx_obs::ENABLED {
-                    cfx_obs::metrics::counter("cfx_serve_cache_misses_total")
-                        .inc(1);
-                }
+                cfx_obs::metrics::counter("cfx_serve_cache_misses_total")
+                    .inc(1);
                 None
             }
         }
@@ -194,30 +189,24 @@ impl ResponseCache {
             {
                 shard.remove(&victim);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
-                if cfx_obs::ENABLED {
-                    cfx_obs::metrics::counter(
-                        "cfx_serve_cache_evictions_total",
-                    )
+                cfx_obs::metrics::counter("cfx_serve_cache_evictions_total")
                     .inc(1);
-                }
             }
         }
         shard.insert(key, Entry { body, touched });
         let len: usize = shard.len();
         drop(shard);
-        if cfx_obs::ENABLED {
-            // Gauge refresh is approximate across shards; exactness is
-            // not worth a global lock.
-            let others: usize = self
-                .shards
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != idx)
-                .map(|(_, s)| s.lock().unwrap().len())
-                .sum();
-            cfx_obs::metrics::gauge("cfx_serve_cache_entries")
-                .set((others + len) as f64);
-        }
+        // Gauge refresh is approximate across shards; exactness is
+        // not worth a global lock.
+        let others: usize = self
+            .shards
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| *i != idx)
+            .map(|(_, s)| s.lock().unwrap().len())
+            .sum();
+        cfx_obs::metrics::gauge("cfx_serve_cache_entries")
+            .set((others + len) as f64);
     }
 
     /// Purges every entry (model hot swap). Counted once per call.
@@ -229,11 +218,9 @@ impl ResponseCache {
             shard.lock().unwrap().clear();
         }
         self.invalidations.fetch_add(1, Ordering::Relaxed);
-        if cfx_obs::ENABLED {
-            cfx_obs::metrics::counter("cfx_serve_cache_invalidations_total")
-                .inc(1);
-            cfx_obs::metrics::gauge("cfx_serve_cache_entries").set(0.0);
-        }
+        cfx_obs::metrics::counter("cfx_serve_cache_invalidations_total")
+            .inc(1);
+        cfx_obs::metrics::gauge("cfx_serve_cache_entries").set(0.0);
     }
 
     /// Current resident entry count (sums shard locks; for health and

@@ -22,6 +22,7 @@
 
 use crate::shard::shard;
 use cfx_data::EncodedDataset;
+use cfx_obs::metrics::{gauge, gauge_labeled};
 use cfx_obs::sketch::{psi, FeatureStats, BINS};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -249,26 +250,24 @@ impl DriftMonitor {
         DriftScores { per_feature, overall, rows }
     }
 
-    /// Scores, exports gauges (`cfx_serve_drift_score{feature="cN"}`
-    /// per column plus `cfx_serve_drift_score_overall` and
+    /// Scores, exports gauges (one `cfx_serve_drift_score` series per
+    /// column, labelled `c0`, `c1`, …, plus
+    /// `cfx_serve_drift_score_overall` and
     /// `cfx_serve_drift_rows_observed`), and emits the threshold
     /// `warn!` on an upward crossing. Called on the refresh cadence,
     /// on `/healthz`, and at drain.
     pub fn refresh(&self, reference: &ReferenceStats) -> DriftScores {
         let scores = self.scores(reference);
-        if cfx_obs::ENABLED {
-            use cfx_obs::metrics::{gauge, gauge_labeled};
-            for (c, &s) in scores.per_feature.iter().enumerate() {
-                gauge_labeled(
-                    "cfx_serve_drift_score",
-                    &[("feature", &format!("c{c}"))],
-                )
-                .set(s);
-            }
-            gauge("cfx_serve_drift_score_overall").set(scores.overall);
-            gauge("cfx_serve_drift_score_max").set(scores.worst_feature());
-            gauge("cfx_serve_drift_rows_observed").set(scores.rows as f64);
+        for (c, &s) in scores.per_feature.iter().enumerate() {
+            gauge_labeled(
+                "cfx_serve_drift_score",
+                &[("feature", &format!("c{c}"))],
+            )
+            .set(s);
         }
+        gauge("cfx_serve_drift_score_overall").set(scores.overall);
+        gauge("cfx_serve_drift_score_max").set(scores.worst_feature());
+        gauge("cfx_serve_drift_rows_observed").set(scores.rows as f64);
         let over = self.is_drifting(&scores);
         let was_over = self.over_threshold.swap(over, Ordering::Relaxed);
         if over && !was_over {

@@ -20,8 +20,8 @@
 //! * **Deadlines end-to-end.** Every request carries a deadline
 //!   (client-supplied or defaulted) that is enforced in the queue, in
 //!   the micro-batcher, and inside `explain_batch` itself via
-//!   [`cfx_core::FeasibleCfModel::explain_batch_deadline`]; misses are
-//!   typed [`cfx_tensor::CfxError::Timeout`] → `504`/`408`.
+//!   [`cfx_core::FeasibleCfModel::explain_batch_deadline_stream`];
+//!   misses are typed [`cfx_tensor::CfxError::Timeout`] → `504`/`408`.
 //! * **Graceful drain.** SIGTERM stops admissions, completes every
 //!   accepted request, writes a final Prometheus snapshot, and exits 0.
 //! * **Deterministic responses.** Requests are explained individually

@@ -141,36 +141,30 @@ impl ModelRegistry {
         match self.try_load(&path) {
             Ok(()) => {
                 *self.loaded.lock().unwrap() = Some((mtime, path.clone()));
-                if cfx_obs::ENABLED {
-                    cfx_obs::metrics::counter("cfx_serve_model_reloads_total").inc(1);
-                    cfx_obs::info!(
-                        "serve_model_reloaded",
-                        path = path.display().to_string(),
-                    );
-                }
+                cfx_obs::metrics::counter("cfx_serve_model_reloads_total").inc(1);
+                cfx_obs::info!(
+                    "serve_model_reloaded",
+                    path = path.display().to_string(),
+                );
                 Ok(true)
             }
             Err(CfxError::Io(e)) => {
                 // Transient I/O (e.g. the file vanished between scan and
                 // read): not corrupt, retry on the next poll.
-                if cfx_obs::ENABLED {
-                    cfx_obs::warn!("serve_model_read_failed", error = e.clone());
-                }
+                cfx_obs::warn!("serve_model_read_failed", error = e.clone());
                 Ok(false)
             }
             Err(e) => {
                 // Verification failure: quarantine so the next scan does
                 // not retry the same bad file, keep serving the old model.
                 checkpoint::quarantine(&path);
-                if cfx_obs::ENABLED {
-                    cfx_obs::metrics::counter("cfx_serve_model_quarantined_total")
-                        .inc(1);
-                    cfx_obs::warn!(
-                        "serve_model_quarantined",
-                        path = path.display().to_string(),
-                        error = e.to_string(),
-                    );
-                }
+                cfx_obs::metrics::counter("cfx_serve_model_quarantined_total")
+                    .inc(1);
+                cfx_obs::warn!(
+                    "serve_model_quarantined",
+                    path = path.display().to_string(),
+                    error = e.to_string(),
+                );
                 Ok(false)
             }
         }

@@ -321,9 +321,6 @@ impl ServerHandle {
 /// Per-worker job counters (`cfx_serve_worker_jobs_total:wN`) are
 /// registered for each of the `workers` shards.
 fn register_metrics(workers: usize) {
-    if !cfx_obs::ENABLED {
-        return;
-    }
     use cfx_obs::metrics::{counter, gauge};
     counter("cfx_serve_requests_total").inc(0);
     counter("cfx_serve_shed_total").inc(0);
@@ -410,10 +407,8 @@ pub fn spawn(
     let queues: Vec<Arc<BoundedQueue<ExplainJob>>> = (0..workers)
         .map(|_| Arc::new(BoundedQueue::new(per_queue_cap)))
         .collect();
-    if cfx_obs::ENABLED {
-        cfx_obs::metrics::gauge("cfx_serve_queue_cap")
-            .set(queues.iter().map(|q| q.cap()).sum::<usize>() as f64);
-    }
+    cfx_obs::metrics::gauge("cfx_serve_queue_cap")
+        .set(queues.iter().map(|q| q.cap()).sum::<usize>() as f64);
     let cache = Arc::new(ResponseCache::new(cfg.cache_cap));
     // The monitor needs the encoded width before `boot` moves into the
     // registry; the reference moments themselves live in the registry
@@ -478,10 +473,8 @@ fn run(listener: TcpListener, shared: Arc<Shared>) -> DrainReport {
                 let conn_index = shared.clock.next_conn();
                 let active =
                     shared.active_conns.fetch_add(1, Ordering::SeqCst) + 1;
-                if cfx_obs::ENABLED {
-                    cfx_obs::metrics::gauge("cfx_serve_active_connections")
-                        .set(active as f64);
-                }
+                cfx_obs::metrics::gauge("cfx_serve_active_connections")
+                    .set(active as f64);
                 let over_cap = active > shared.cfg.max_conns;
                 let sh = Arc::clone(&shared);
                 let h = std::thread::Builder::new()
@@ -497,12 +490,8 @@ fn run(listener: TcpListener, shared: Arc<Shared>) -> DrainReport {
                         }
                         let left =
                             sh.active_conns.fetch_sub(1, Ordering::SeqCst) - 1;
-                        if cfx_obs::ENABLED {
-                            cfx_obs::metrics::gauge(
-                                "cfx_serve_active_connections",
-                            )
+                        cfx_obs::metrics::gauge("cfx_serve_active_connections")
                             .set(left as f64);
-                        }
                     })
                     .expect("spawn connection thread");
                 conn_threads.push(h);
@@ -531,9 +520,7 @@ fn run(listener: TcpListener, shared: Arc<Shared>) -> DrainReport {
     }
 
     // ---- drain ---------------------------------------------------------
-    if cfx_obs::ENABLED {
-        cfx_obs::metrics::gauge("cfx_serve_draining").set(1.0);
-    }
+    cfx_obs::metrics::gauge("cfx_serve_draining").set(1.0);
     cfx_obs::info!("serve_draining", accepted = accepted);
     drop(listener); // the port closes before in-flight work finishes
     for t in conn_threads {
@@ -547,11 +534,9 @@ fn run(listener: TcpListener, shared: Arc<Shared>) -> DrainReport {
     for w in workers {
         let _ = w.join();
     }
-    if cfx_obs::ENABLED {
-        // The workers are gone and the queues are empty; settle the
-        // gauge so the drain snapshot reports the true (zero) backlog.
-        cfx_obs::metrics::gauge("cfx_serve_queue_depth").set(0.0);
-    }
+    // The workers are gone and the queues are empty; settle the
+    // gauge so the drain snapshot reports the true (zero) backlog.
+    cfx_obs::metrics::gauge("cfx_serve_queue_depth").set(0.0);
     // Score the final traffic tally so the drain snapshot's drift
     // gauges cover every observed row, not just the last refresh tick.
     if let Some(monitor) = &shared.drift {
@@ -630,9 +615,7 @@ fn latency_summary(shared: &Shared) -> LatencySummary {
 /// Answers one connection with a connection-cap 429 and closes it.
 fn shed_connection(shared: &Shared, mut stream: TcpStream) {
     shared.shed.fetch_add(1, Ordering::SeqCst);
-    if cfx_obs::ENABLED {
-        cfx_obs::metrics::counter("cfx_serve_shed_total").inc(1);
-    }
+    cfx_obs::metrics::counter("cfx_serve_shed_total").inc(1);
     let retry_ms = shared.shed_retry_after_ms();
     let body = error_body("overloaded", "connection limit reached", Some(retry_ms));
     let retry = retry_after_header(retry_ms);
@@ -728,30 +711,27 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, conn_index: u64) {
             Ok(Parse::Partial) => {}
             Err(e) => {
                 shared.malformed.fetch_add(1, Ordering::SeqCst);
-                if cfx_obs::ENABLED {
-                    cfx_obs::metrics::counter("cfx_serve_malformed_total")
-                        .inc(1);
-                    cfx_obs::event!(
-                        "serve_malformed",
-                        kind = e.kind(),
-                        conn = conn_index,
-                    );
-                    // Requests that die in HTTP parsing never reach
-                    // `handle_explain`; give them their own trace id and
-                    // terminal access-log record so the log accounts
-                    // for every byte stream the server answered.
-                    let trace = cfx_obs::TraceId::next();
-                    let _scope = cfx_obs::TraceScope::enter(trace);
-                    cfx_obs::emit_request(
-                        "http",
-                        &[
-                            ("outcome", FieldValue::Str("malformed".into())),
-                            ("status", FieldValue::U64(e.status() as u64)),
-                            ("kind", FieldValue::Str(e.kind().to_string())),
-                            ("conn", FieldValue::U64(conn_index)),
-                        ],
-                    );
-                }
+                cfx_obs::metrics::counter("cfx_serve_malformed_total").inc(1);
+                cfx_obs::event!(
+                    "serve_malformed",
+                    kind = e.kind(),
+                    conn = conn_index,
+                );
+                // Requests that die in HTTP parsing never reach
+                // `handle_explain`; give them their own trace id and
+                // terminal access-log record so the log accounts
+                // for every byte stream the server answered.
+                let trace = cfx_obs::TraceId::next();
+                let _scope = cfx_obs::TraceScope::enter(trace);
+                cfx_obs::emit_request(
+                    "http",
+                    &[
+                        ("outcome", FieldValue::Str("malformed".into())),
+                        ("status", FieldValue::U64(e.status() as u64)),
+                        ("kind", FieldValue::Str(e.kind().to_string())),
+                        ("conn", FieldValue::U64(conn_index)),
+                    ],
+                );
                 let body = error_body(e.kind(), &e.to_string(), None);
                 let resp = http::render_response(
                     e.status(),
@@ -793,20 +773,17 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, conn_index: u64) {
                 // Mid-frame stall: the client started a request and
                 // went quiet — answer 408 with a retry hint and close.
                 shared.timeouts.fetch_add(1, Ordering::SeqCst);
-                if cfx_obs::ENABLED {
-                    cfx_obs::metrics::counter("cfx_serve_timeouts_total")
-                        .inc(1);
-                    let trace = cfx_obs::TraceId::next();
-                    let _scope = cfx_obs::TraceScope::enter(trace);
-                    cfx_obs::emit_request(
-                        "http",
-                        &[
-                            ("outcome", FieldValue::Str("timeout_408".into())),
-                            ("status", FieldValue::U64(408)),
-                            ("conn", FieldValue::U64(conn_index)),
-                        ],
-                    );
-                }
+                cfx_obs::metrics::counter("cfx_serve_timeouts_total").inc(1);
+                let trace = cfx_obs::TraceId::next();
+                let _scope = cfx_obs::TraceScope::enter(trace);
+                cfx_obs::emit_request(
+                    "http",
+                    &[
+                        ("outcome", FieldValue::Str("timeout_408".into())),
+                        ("status", FieldValue::U64(408)),
+                        ("conn", FieldValue::U64(conn_index)),
+                    ],
+                );
                 let body = error_body(
                     "timeout",
                     "request head/body not received within the read timeout",
@@ -845,9 +822,7 @@ fn respond(
         }
         (_, path) => {
             shared.malformed.fetch_add(1, Ordering::SeqCst);
-            if cfx_obs::ENABLED {
-                cfx_obs::metrics::counter("cfx_serve_malformed_total").inc(1);
-            }
+            cfx_obs::metrics::counter("cfx_serve_malformed_total").inc(1);
             let body =
                 error_body("not_found", &format!("no route for {path}"), None);
             http::render_response(
@@ -899,11 +874,7 @@ fn handle_healthz(shared: &Shared, keep_alive: bool) -> Vec<u8> {
 }
 
 fn handle_metrics(keep_alive: bool) -> Vec<u8> {
-    let body = if cfx_obs::ENABLED {
-        cfx_obs::metrics::prometheus_snapshot()
-    } else {
-        "# telemetry disabled (built without the obs feature)\n".to_string()
-    };
+    let body = cfx_obs::metrics::prometheus_snapshot();
     http::render_response(
         200,
         "text/plain; version=0.0.4",
@@ -1027,38 +998,36 @@ impl ExplainObs {
 /// served. Called with the request's trace scope still bound so every
 /// record carries the trace id.
 fn finish_explain(shared: &Shared, obs: &ExplainObs) {
-    if cfx_obs::ENABLED {
-        use cfx_obs::metrics::histogram;
-        histogram("cfx_serve_request_ns", &STAGE_BOUNDS)
-            .observe(obs.total_ns as f64);
-        for (stage, ns) in obs.stages() {
-            if ns == 0 {
-                continue;
-            }
-            histogram(&format!("cfx_serve_stage_ns:{stage}"), &STAGE_BOUNDS)
-                .observe(ns as f64);
-            cfx_obs::emit_stage(stage, ns, &[]);
+    use cfx_obs::metrics::histogram;
+    histogram("cfx_serve_request_ns", &STAGE_BOUNDS)
+        .observe(obs.total_ns as f64);
+    for (stage, ns) in obs.stages() {
+        if ns == 0 {
+            continue;
         }
-        if cfx_obs::jsonl_active() {
-            let mut fields: Vec<(&str, FieldValue)> = vec![
-                ("outcome", FieldValue::Str(obs.outcome.into())),
-                ("status", FieldValue::U64(obs.status as u64)),
-                ("rows", FieldValue::U64(obs.rows)),
-                ("cache", FieldValue::Str(obs.cache.into())),
-                ("total_ns", FieldValue::U64(obs.total_ns)),
-                ("parse_ns", FieldValue::U64(obs.parse_ns)),
-                ("cache_lookup_ns", FieldValue::U64(obs.cache_lookup_ns)),
-                ("queue_wait_ns", FieldValue::U64(obs.queue_wait_ns)),
-                ("linger_ns", FieldValue::U64(obs.linger_ns)),
-                ("explain_ns", FieldValue::U64(obs.explain_ns)),
-                ("serialize_ns", FieldValue::U64(obs.serialize_ns)),
-                ("respond_ns", FieldValue::U64(obs.respond_ns)),
-            ];
-            if let Some(w) = obs.worker {
-                fields.push(("worker", FieldValue::U64(w)));
-            }
-            cfx_obs::emit_request("explain", &fields);
+        histogram(&format!("cfx_serve_stage_ns:{stage}"), &STAGE_BOUNDS)
+            .observe(ns as f64);
+        cfx_obs::emit_stage(stage, ns, &[]);
+    }
+    if cfx_obs::jsonl_active() {
+        let mut fields: Vec<(&str, FieldValue)> = vec![
+            ("outcome", FieldValue::Str(obs.outcome.into())),
+            ("status", FieldValue::U64(obs.status as u64)),
+            ("rows", FieldValue::U64(obs.rows)),
+            ("cache", FieldValue::Str(obs.cache.into())),
+            ("total_ns", FieldValue::U64(obs.total_ns)),
+            ("parse_ns", FieldValue::U64(obs.parse_ns)),
+            ("cache_lookup_ns", FieldValue::U64(obs.cache_lookup_ns)),
+            ("queue_wait_ns", FieldValue::U64(obs.queue_wait_ns)),
+            ("linger_ns", FieldValue::U64(obs.linger_ns)),
+            ("explain_ns", FieldValue::U64(obs.explain_ns)),
+            ("serialize_ns", FieldValue::U64(obs.serialize_ns)),
+            ("respond_ns", FieldValue::U64(obs.respond_ns)),
+        ];
+        if let Some(w) = obs.worker {
+            fields.push(("worker", FieldValue::U64(w)));
         }
+        cfx_obs::emit_request("explain", &fields);
     }
     if obs.outcome == "served" {
         let mut samples =
@@ -1083,14 +1052,12 @@ fn handle_explain(
     keep_alive: bool,
     anchor: Instant,
 ) -> Vec<u8> {
-    if cfx_obs::ENABLED {
-        cfx_obs::metrics::counter("cfx_serve_requests_total").inc(1);
-    }
+    cfx_obs::metrics::counter("cfx_serve_requests_total").inc(1);
     // Every request gets a trace id; the scope binds it to this thread
     // so records emitted anywhere below (including inside the worker,
     // which re-binds from `ExplainJob::trace`) carry it.
     let trace_id = cfx_obs::TraceId::next();
-    let _scope = cfx_obs::ENABLED.then(|| cfx_obs::TraceScope::enter(trace_id));
+    let _scope = cfx_obs::TraceScope::enter(trace_id);
     // Echo the id only when the client opts in with an `X-Cfx-Trace`
     // request header. The echo is a function of the request alone —
     // never of whether a sink is armed — so response bytes stay
@@ -1139,9 +1106,7 @@ fn explain_inner(
             obs.outcome = "malformed";
             obs.status = 422;
             shared.malformed.fetch_add(1, Ordering::SeqCst);
-            if cfx_obs::ENABLED {
-                cfx_obs::metrics::counter("cfx_serve_malformed_total").inc(1);
-            }
+            cfx_obs::metrics::counter("cfx_serve_malformed_total").inc(1);
             let body = error_body("bad_input", &msg, None);
             return http::render_response(
                 422,
@@ -1223,18 +1188,14 @@ fn explain_inner(
     let worker = shard::shard(fingerprint, shared.queues.len());
     match shared.queues[worker].try_push(job) {
         Ok(_depth) => {
-            if cfx_obs::ENABLED {
-                cfx_obs::metrics::gauge("cfx_serve_queue_depth")
-                    .set(shared.queue_depth() as f64);
-            }
+            cfx_obs::metrics::gauge("cfx_serve_queue_depth")
+                .set(shared.queue_depth() as f64);
         }
         Err(PushError::Full(_)) => {
             obs.outcome = "shed_429";
             obs.status = 429;
             shared.shed.fetch_add(1, Ordering::SeqCst);
-            if cfx_obs::ENABLED {
-                cfx_obs::metrics::counter("cfx_serve_shed_total").inc(1);
-            }
+            cfx_obs::metrics::counter("cfx_serve_shed_total").inc(1);
             let retry_ms = shared.shed_retry_after_ms();
             let e = CfxError::overloaded(retry_ms);
             let body = error_body("overloaded", &e.to_string(), Some(retry_ms));
@@ -1308,20 +1269,12 @@ fn explain_inner(
                     };
                     if status == 504 {
                         shared.timeouts.fetch_add(1, Ordering::SeqCst);
-                        if cfx_obs::ENABLED {
-                            cfx_obs::metrics::counter(
-                                "cfx_serve_timeouts_total",
-                            )
+                        cfx_obs::metrics::counter("cfx_serve_timeouts_total")
                             .inc(1);
-                        }
                     } else {
                         shared.malformed.fetch_add(1, Ordering::SeqCst);
-                        if cfx_obs::ENABLED {
-                            cfx_obs::metrics::counter(
-                                "cfx_serve_malformed_total",
-                            )
+                        cfx_obs::metrics::counter("cfx_serve_malformed_total")
                             .inc(1);
-                        }
                     }
                     let body = error_body(kind, &e.to_string(), retry_after);
                     let mut hdrs = extra.to_vec();

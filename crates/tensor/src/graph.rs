@@ -199,10 +199,9 @@ impl Tape {
     }
 
     fn push(&mut self, value: Tensor, op: Op) -> Var {
-        // Fault-injection hook (feature `guard`): every op construction
-        // flows through one choke point, so an armed fault can corrupt a
-        // specific op deterministically. Inert unless a fault is armed.
-        #[cfg(feature = "guard")]
+        // Fault-injection hook: every op construction flows through one
+        // choke point, so an armed fault can corrupt a specific op
+        // deterministically. Inert unless a fault is armed.
         let value = crate::guard::tamper(value);
         self.nodes.push(Node { value, grad: None, op });
         Var(self.nodes.len() - 1)
@@ -210,9 +209,9 @@ impl Tape {
 
     /// [`Tape::push`] plus forward-time accounting for the op profiler
     /// ([`crate::profile`]). Each constructor starts its timer before
-    /// the forward compute; the timer is inert — the unit type — unless
-    /// the `obs` feature is on and tracing is armed, so this adds no
-    /// tape nodes and never perturbs op indices or values.
+    /// the forward compute; the timer is `None` unless the profiler is
+    /// armed, and it adds no tape nodes and never perturbs op indices or
+    /// values.
     fn push_profiled(
         &mut self,
         t: crate::profile::OpTimer,

@@ -6,10 +6,11 @@
 //!   that training loops call on losses and gradients *before* an
 //!   optimizer step can poison the weights. Always compiled.
 //! * **Fault injection** — a deterministic corruption hook wired into
-//!   [`Tape`](crate::Tape) op construction (behind the `guard` cargo
-//!   feature) so tests can corrupt exactly one op and prove the recovery
-//!   machinery works. Armed either programmatically ([`with_fault`]) or
-//!   through the `CFX_FAULT=nan@<op_index>` environment knob.
+//!   [`Tape`](crate::Tape) op construction so tests can corrupt exactly
+//!   one op and prove the recovery machinery works. Armed either
+//!   programmatically ([`with_fault`]) or through the
+//!   `CFX_FAULT=nan@<op_index>` environment knob; unarmed, the hook is a
+//!   cheap no-op.
 //!
 //! # Determinism
 //!
@@ -113,9 +114,8 @@ fn load_state() -> InjectorState {
 }
 
 /// Tape-op hook: counts the op and corrupts its value if this thread's
-/// armed fault targets it. Called by `Tape::push` when the `guard`
-/// feature is on; a dead cheap no-op when no fault is armed.
-#[cfg_attr(not(feature = "guard"), allow(dead_code))]
+/// armed fault targets it. Called by `Tape::push`; a cheap no-op when
+/// no fault is armed.
 pub(crate) fn tamper(mut value: Tensor) -> Tensor {
     let mut st = load_state();
     if let Some(fault) = st.armed {
@@ -211,7 +211,6 @@ mod tests {
         assert_eq!(err, CfxError::non_finite("grads"));
     }
 
-    #[cfg(feature = "guard")]
     #[test]
     fn injected_fault_corrupts_exactly_one_op_once() {
         let fault = Fault { kind: FaultKind::Nan, op_index: 1 };
@@ -232,7 +231,6 @@ mod tests {
         assert!(fired);
     }
 
-    #[cfg(feature = "guard")]
     #[test]
     fn unreached_fault_never_fires_and_state_restores() {
         let fault = Fault { kind: FaultKind::Inf, op_index: 10_000 };

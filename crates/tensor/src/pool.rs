@@ -22,12 +22,11 @@
 //!
 //! # Stats
 //!
-//! With the default-on `pool-stats` feature, [`stats`] reports hits,
-//! misses, bytes currently cached in the free lists (`live_bytes`),
-//! and the high-water mark (`peak_bytes`). The steady-state
-//! regression test asserts a warmed-up train step performs **zero
-//! misses**; the `table4` bin appends the counters to `$BENCH_JSON`
-//! so allocation behaviour is recorded alongside timings.
+//! [`stats`] reports hits, misses, bytes currently cached in the free
+//! lists (`live_bytes`), and the high-water mark (`peak_bytes`). The
+//! steady-state regression test asserts a warmed-up train step
+//! performs **zero misses**; the `table4` bin appends the counters to
+//! `$BENCH_JSON` so allocation behaviour is recorded alongside timings.
 //!
 //! [`Tape`]: crate::Tape
 
@@ -35,8 +34,6 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// Snapshot of the calling thread's pool counters.
-///
-/// All fields are zero when the `pool-stats` feature is disabled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// `take` calls satisfied from a free list (no heap allocation).
@@ -53,7 +50,6 @@ pub struct PoolStats {
 struct PoolInner {
     /// Free lists keyed by buffer element count.
     free: HashMap<usize, Vec<Vec<f32>>>,
-    #[cfg(feature = "pool-stats")]
     stats: PoolStats,
 }
 
@@ -61,7 +57,6 @@ thread_local! {
     static POOL: RefCell<PoolInner> = RefCell::new(PoolInner::default());
 }
 
-#[cfg(feature = "pool-stats")]
 fn bytes(len: usize) -> u64 {
     (len * std::mem::size_of::<f32>()) as u64
 }
@@ -76,14 +71,11 @@ pub fn take_buf(len: usize) -> Vec<f32> {
     POOL.with(|p| {
         let mut p = p.borrow_mut();
         let recycled = p.free.get_mut(&len).and_then(Vec::pop);
-        #[cfg(feature = "pool-stats")]
-        {
-            if recycled.is_some() {
-                p.stats.hits += 1;
-                p.stats.live_bytes -= bytes(len);
-            } else {
-                p.stats.misses += 1;
-            }
+        if recycled.is_some() {
+            p.stats.hits += 1;
+            p.stats.live_bytes -= bytes(len);
+        } else {
+            p.stats.misses += 1;
         }
         recycled.unwrap_or_else(|| vec![0.0; len])
     })
@@ -107,32 +99,21 @@ pub fn give_buf(buf: Vec<f32>) {
     }
     POOL.with(|p| {
         let mut p = p.borrow_mut();
-        #[cfg(feature = "pool-stats")]
-        {
-            p.stats.live_bytes += bytes(len);
-            p.stats.peak_bytes = p.stats.peak_bytes.max(p.stats.live_bytes);
-        }
+        p.stats.live_bytes += bytes(len);
+        p.stats.peak_bytes = p.stats.peak_bytes.max(p.stats.live_bytes);
         p.free.entry(len).or_default().push(buf);
     });
 }
 
-/// Counters for the calling thread's pool (zeros without `pool-stats`).
+/// Counters for the calling thread's pool.
 pub fn stats() -> PoolStats {
-    #[cfg(feature = "pool-stats")]
-    {
-        POOL.with(|p| p.borrow().stats)
-    }
-    #[cfg(not(feature = "pool-stats"))]
-    {
-        PoolStats::default()
-    }
+    POOL.with(|p| p.borrow().stats)
 }
 
 /// Resets hit/miss counters (keeps `live_bytes` accurate for the
 /// buffers still cached). Used by the steady-state regression test to
 /// isolate one train step.
 pub fn reset_stats() {
-    #[cfg(feature = "pool-stats")]
     POOL.with(|p| {
         let mut p = p.borrow_mut();
         p.stats.hits = 0;
@@ -146,10 +127,7 @@ pub fn clear() {
     POOL.with(|p| {
         let mut p = p.borrow_mut();
         p.free.clear();
-        #[cfg(feature = "pool-stats")]
-        {
-            p.stats = PoolStats::default();
-        }
+        p.stats = PoolStats::default();
     });
 }
 
@@ -189,7 +167,6 @@ mod tests {
         assert_eq!(stats().live_bytes, 0);
     }
 
-    #[cfg(feature = "pool-stats")]
     #[test]
     fn stats_track_hits_misses_and_bytes() {
         clear();

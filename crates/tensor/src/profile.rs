@@ -1,27 +1,20 @@
 //! Op-level tape profiler: wall-clock time and invocation counts per
 //! [`OpKind`], for both forward construction and the backward sweep.
 //!
-//! Armed by `CFX_TRACE` (any non-empty value) or [`set_enabled`];
-//! behind the default-on `obs` feature. Timing is recorded into
+//! Armed by `CFX_TRACE` (any non-empty value, read through
+//! [`cfx_obs::trace_env`]) or [`set_enabled`]. Timing is recorded into
 //! thread-local slots (no synchronization on the hot path) which are
 //! flushed into a process-global table whenever a tape is reset — the
 //! natural once-per-training-step point — or a [`snapshot`] is taken.
 //!
 //! The profiler only *times* op construction; it never adds, removes or
 //! reorders tape nodes, so fault-injection op indices (`CFX_FAULT`) and
-//! all numeric results are unchanged whether it is armed or not. With
-//! the `obs` feature off, every function here is a no-op and
-//! [`OpTimer`] is the unit type, so instrumented call sites compile to
-//! nothing.
+//! all numeric results are unchanged whether it is armed or not.
+//! Disarmed, [`op_start`] returns `None` and nothing is recorded.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Once;
-
-#[cfg(feature = "obs")]
 use std::cell::RefCell;
-#[cfg(feature = "obs")]
-use std::sync::Mutex;
-#[cfg(feature = "obs")]
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, Once};
 use std::time::Instant;
 
 /// Profiling category of a tape op. Fused ops get their own kinds
@@ -96,7 +89,6 @@ impl OpKind {
         }
     }
 
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     fn from_index(i: usize) -> OpKind {
         const ALL: [OpKind; OpKind::COUNT] = [
             OpKind::Leaf,
@@ -134,19 +126,13 @@ impl OpKind {
 static PROFILING: AtomicBool = AtomicBool::new(false);
 static ENV_INIT: Once = Once::new();
 
-/// Whether the profiler is currently armed. The first call reads
-/// `CFX_TRACE` (any non-empty value arms it); [`set_enabled`]
-/// overrides. Always `false` with the `obs` feature off.
+/// Whether the profiler is currently armed. The first call arms it
+/// when `CFX_TRACE` is set ([`cfx_obs::trace_env`]); [`set_enabled`]
+/// overrides.
 #[inline]
 pub fn enabled() -> bool {
-    if !cfg!(feature = "obs") {
-        return false;
-    }
     ENV_INIT.call_once(|| {
-        let armed = std::env::var("CFX_TRACE")
-            .map(|v| !v.is_empty())
-            .unwrap_or(false);
-        if armed {
+        if cfx_obs::trace_env().is_some() {
             PROFILING.store(true, Ordering::Relaxed);
         }
     });
@@ -154,35 +140,25 @@ pub fn enabled() -> bool {
 }
 
 /// Arms or disarms the profiler programmatically (e.g. from the bench
-/// harness on `--trace-out`). A no-op with the `obs` feature off.
+/// harness on `--trace-out`).
 pub fn set_enabled(on: bool) {
     let _ = enabled(); // settle the env default first so it can't override
-    PROFILING.store(on && cfg!(feature = "obs"), Ordering::Relaxed);
+    PROFILING.store(on, Ordering::Relaxed);
 }
 
-/// A pending forward timing. [`Option<Instant>`] when compiled in, the
-/// unit type when the `obs` feature is off (so call sites type-check
-/// but carry nothing).
-#[cfg(feature = "obs")]
+/// A pending forward timing: the start instant, `None` when disarmed.
 pub type OpTimer = Option<Instant>;
-/// A pending forward timing (inert: `obs` feature off).
-#[cfg(not(feature = "obs"))]
-pub type OpTimer = ();
 
-/// Starts timing one op construction; `None`/inert when disarmed.
+/// Starts timing one op construction; `None` when disarmed.
 #[inline]
 pub fn op_start() -> OpTimer {
-    #[cfg(feature = "obs")]
-    {
-        if enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        }
+    if enabled() {
+        Some(Instant::now())
+    } else {
+        None
     }
 }
 
-#[cfg(feature = "obs")]
 #[derive(Debug, Clone, Copy, Default)]
 struct Slot {
     fwd_calls: u64,
@@ -193,17 +169,14 @@ struct Slot {
     bwd_flops: u64,
 }
 
-#[cfg(feature = "obs")]
 const ZERO_SLOT: Slot =
     Slot { fwd_calls: 0, fwd_ns: 0, fwd_flops: 0, bwd_calls: 0, bwd_ns: 0, bwd_flops: 0 };
 
-#[cfg(feature = "obs")]
 thread_local! {
     static LOCAL: RefCell<[Slot; OpKind::COUNT]> =
         const { RefCell::new([ZERO_SLOT; OpKind::COUNT]) };
 }
 
-#[cfg(feature = "obs")]
 static GLOBAL: Mutex<[Slot; OpKind::COUNT]> =
     Mutex::new([ZERO_SLOT; OpKind::COUNT]);
 
@@ -217,7 +190,6 @@ pub fn record_forward(kind: OpKind, t: OpTimer) {
 /// and metrics can show achieved GFLOP/s for compute-bound kernels.
 #[inline]
 pub fn record_forward_flops(kind: OpKind, t: OpTimer, flops: u64) {
-    #[cfg(feature = "obs")]
     if let Some(t0) = t {
         let ns = t0.elapsed().as_nanos() as u64;
         LOCAL.with(|l| {
@@ -227,10 +199,6 @@ pub fn record_forward_flops(kind: OpKind, t: OpTimer, flops: u64) {
             slot.fwd_ns += ns;
             slot.fwd_flops += flops;
         });
-    }
-    #[cfg(not(feature = "obs"))]
-    {
-        let _ = (kind, t, flops);
     }
 }
 
@@ -243,7 +211,6 @@ pub fn record_backward(kind: OpKind, t: OpTimer) {
 /// Like [`record_backward`], also crediting a FLOP count.
 #[inline]
 pub fn record_backward_flops(kind: OpKind, t: OpTimer, flops: u64) {
-    #[cfg(feature = "obs")]
     if let Some(t0) = t {
         let ns = t0.elapsed().as_nanos() as u64;
         LOCAL.with(|l| {
@@ -254,51 +221,41 @@ pub fn record_backward_flops(kind: OpKind, t: OpTimer, flops: u64) {
             slot.bwd_flops += flops;
         });
     }
-    #[cfg(not(feature = "obs"))]
-    {
-        let _ = (kind, t, flops);
-    }
 }
 
 /// Merges this thread's slots into the global table. Called from
 /// `Tape::reset` (once per training step) and from [`snapshot`]; cheap
 /// enough to call freely, a no-op when disarmed.
 pub fn flush_thread() {
-    #[cfg(feature = "obs")]
-    {
-        if !enabled() {
+    if !enabled() {
+        return;
+    }
+    LOCAL.with(|l| {
+        let mut local = l.borrow_mut();
+        let has_data = local
+            .iter()
+            .any(|s| s.fwd_calls != 0 || s.bwd_calls != 0);
+        if !has_data {
             return;
         }
-        LOCAL.with(|l| {
-            let mut local = l.borrow_mut();
-            let has_data = local
-                .iter()
-                .any(|s| s.fwd_calls != 0 || s.bwd_calls != 0);
-            if !has_data {
-                return;
-            }
-            let mut global = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-            for (g, s) in global.iter_mut().zip(local.iter_mut()) {
-                g.fwd_calls += s.fwd_calls;
-                g.fwd_ns += s.fwd_ns;
-                g.fwd_flops += s.fwd_flops;
-                g.bwd_calls += s.bwd_calls;
-                g.bwd_ns += s.bwd_ns;
-                g.bwd_flops += s.bwd_flops;
-                *s = Slot::default();
-            }
-        });
-    }
+        let mut global = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+        for (g, s) in global.iter_mut().zip(local.iter_mut()) {
+            g.fwd_calls += s.fwd_calls;
+            g.fwd_ns += s.fwd_ns;
+            g.fwd_flops += s.fwd_flops;
+            g.bwd_calls += s.bwd_calls;
+            g.bwd_ns += s.bwd_ns;
+            g.bwd_flops += s.bwd_flops;
+            *s = Slot::default();
+        }
+    });
 }
 
 /// Zeroes the global table and this thread's slots.
 pub fn reset() {
-    #[cfg(feature = "obs")]
-    {
-        LOCAL.with(|l| *l.borrow_mut() = [Slot::default(); OpKind::COUNT]);
-        let mut global = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        *global = [Slot::default(); OpKind::COUNT];
-    }
+    LOCAL.with(|l| *l.borrow_mut() = [Slot::default(); OpKind::COUNT]);
+    let mut global = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    *global = [Slot::default(); OpKind::COUNT];
 }
 
 /// Aggregated timings for one op kind.
@@ -343,35 +300,28 @@ impl OpProfile {
 }
 
 /// Flushes the calling thread and returns all op kinds with any
-/// recorded activity, sorted by total self time, descending. Empty
-/// with the `obs` feature off. Note worker threads flush on their own
-/// tape resets; a snapshot taken mid-step may lag them by one step.
+/// recorded activity, sorted by total self time, descending. Note
+/// worker threads flush on their own tape resets; a snapshot taken
+/// mid-step may lag them by one step.
 pub fn snapshot() -> Vec<OpProfile> {
-    #[cfg(feature = "obs")]
-    {
-        flush_thread();
-        let global = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out: Vec<OpProfile> = global
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.fwd_calls != 0 || s.bwd_calls != 0)
-            .map(|(i, s)| OpProfile {
-                kind: OpKind::from_index(i),
-                fwd_calls: s.fwd_calls,
-                fwd_ns: s.fwd_ns,
-                fwd_flops: s.fwd_flops,
-                bwd_calls: s.bwd_calls,
-                bwd_ns: s.bwd_ns,
-                bwd_flops: s.bwd_flops,
-            })
-            .collect();
-        out.sort_by(|a, b| b.total_ns().cmp(&a.total_ns()));
-        out
-    }
-    #[cfg(not(feature = "obs"))]
-    {
-        Vec::new()
-    }
+    flush_thread();
+    let global = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut out: Vec<OpProfile> = global
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.fwd_calls != 0 || s.bwd_calls != 0)
+        .map(|(i, s)| OpProfile {
+            kind: OpKind::from_index(i),
+            fwd_calls: s.fwd_calls,
+            fwd_ns: s.fwd_ns,
+            fwd_flops: s.fwd_flops,
+            bwd_calls: s.bwd_calls,
+            bwd_ns: s.bwd_ns,
+            bwd_flops: s.bwd_flops,
+        })
+        .collect();
+    out.sort_by(|a, b| b.total_ns().cmp(&a.total_ns()));
+    out
 }
 
 /// Renders a human-readable top-`top_n` table of ops by self time (the
@@ -417,38 +367,34 @@ pub fn report(top_n: usize) -> String {
 
 /// Exports the profile table plus pool, threading, and kernel-dispatch
 /// stats as Prometheus metrics (`cfx_op_*`, `cfx_pool_*`, `cfx_threads`,
-/// `cfx_dispatch_{serial,parallel}_total`). A no-op with the `obs`
-/// feature off.
+/// `cfx_dispatch_{serial,parallel}_total`).
 pub fn export_metrics() {
-    #[cfg(feature = "obs")]
-    {
-        for p in snapshot() {
-            let name = p.kind.name();
-            cfx_obs::metrics::gauge(&format!("cfx_op_{name}_calls")).set(p.fwd_calls as f64);
-            cfx_obs::metrics::gauge(&format!("cfx_op_{name}_fwd_ns")).set(p.fwd_ns as f64);
-            cfx_obs::metrics::gauge(&format!("cfx_op_{name}_bwd_ns")).set(p.bwd_ns as f64);
-            if let Some(g) = p.gflops() {
-                cfx_obs::metrics::gauge(&format!("cfx_op_{name}_gflops")).set(g);
-            }
+    for p in snapshot() {
+        let name = p.kind.name();
+        cfx_obs::metrics::gauge(&format!("cfx_op_{name}_calls")).set(p.fwd_calls as f64);
+        cfx_obs::metrics::gauge(&format!("cfx_op_{name}_fwd_ns")).set(p.fwd_ns as f64);
+        cfx_obs::metrics::gauge(&format!("cfx_op_{name}_bwd_ns")).set(p.bwd_ns as f64);
+        if let Some(g) = p.gflops() {
+            cfx_obs::metrics::gauge(&format!("cfx_op_{name}_gflops")).set(g);
         }
-        // The dispatcher counts decisions in plain process-wide atomics
-        // (the hot path must not take the metrics-registry lock); sync
-        // the exported counters up to the live totals here.
-        let (serial, parallel) = crate::runtime::dispatch_counts();
-        let c = cfx_obs::metrics::counter("cfx_dispatch_serial_total");
-        c.inc(serial.saturating_sub(c.get()));
-        let c = cfx_obs::metrics::counter("cfx_dispatch_parallel_total");
-        c.inc(parallel.saturating_sub(c.get()));
-        let pool = crate::pool::stats();
-        cfx_obs::metrics::gauge("cfx_pool_hits").set(pool.hits as f64);
-        cfx_obs::metrics::gauge("cfx_pool_misses").set(pool.misses as f64);
-        cfx_obs::metrics::gauge("cfx_pool_live_bytes").set(pool.live_bytes as f64);
-        cfx_obs::metrics::gauge("cfx_pool_peak_bytes").set(pool.peak_bytes as f64);
-        cfx_obs::metrics::gauge("cfx_threads").set(crate::runtime::max_threads() as f64);
     }
+    // The dispatcher counts decisions in plain process-wide atomics
+    // (the hot path must not take the metrics-registry lock); sync
+    // the exported counters up to the live totals here.
+    let (serial, parallel) = crate::runtime::dispatch_counts();
+    let c = cfx_obs::metrics::counter("cfx_dispatch_serial_total");
+    c.inc(serial.saturating_sub(c.get()));
+    let c = cfx_obs::metrics::counter("cfx_dispatch_parallel_total");
+    c.inc(parallel.saturating_sub(c.get()));
+    let pool = crate::pool::stats();
+    cfx_obs::metrics::gauge("cfx_pool_hits").set(pool.hits as f64);
+    cfx_obs::metrics::gauge("cfx_pool_misses").set(pool.misses as f64);
+    cfx_obs::metrics::gauge("cfx_pool_live_bytes").set(pool.live_bytes as f64);
+    cfx_obs::metrics::gauge("cfx_pool_peak_bytes").set(pool.peak_bytes as f64);
+    cfx_obs::metrics::gauge("cfx_threads").set(crate::runtime::max_threads() as f64);
 }
 
-#[cfg(all(test, feature = "obs"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -6,7 +6,7 @@
 //! * `CFX_THREADS=n` caps the worker count (`1` forces exact serial
 //!   execution everywhere);
 //! * unset, the runtime uses [`std::thread::available_parallelism`];
-//! * building without the `parallel` feature pins the count to 1.
+//! * [`with_threads`] overrides the count for one call on one thread.
 //!
 //! Workers are plain [`std::thread::scope`] threads — the environment this
 //! workspace builds in has no registry access, so a `rayon` dependency is
@@ -38,7 +38,6 @@ thread_local! {
 /// so parallelism only kicks in where it can actually win.
 pub const DEFAULT_PAR_THRESHOLD: u64 = 4_000_000;
 
-static PAR_THRESHOLD: OnceLock<u64> = OnceLock::new();
 static HW_THREADS: OnceLock<usize> = OnceLock::new();
 static DISPATCH_SERIAL: AtomicU64 = AtomicU64::new(0);
 static DISPATCH_PARALLEL: AtomicU64 = AtomicU64::new(0);
@@ -48,27 +47,21 @@ thread_local! {
 }
 
 /// The process-wide worker cap: `CFX_THREADS` if set to a positive number,
-/// otherwise the machine's available parallelism. Always 1 without the
-/// `parallel` feature.
+/// otherwise the machine's available parallelism.
 pub fn max_threads() -> usize {
-    *MAX_THREADS.get_or_init(|| {
-        if !cfg!(feature = "parallel") {
-            return 1;
-        }
-        match std::env::var("CFX_THREADS") {
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => n,
-                _ => {
-                    cfx_obs::warn!(
-                        "cfx_threads_invalid",
-                        value = v.as_str(),
-                        fallback = "available_parallelism",
-                    );
-                    available()
-                }
-            },
-            Err(_) => available(),
-        }
+    *MAX_THREADS.get_or_init(|| match std::env::var("CFX_THREADS") {
+        Ok(v) => match v.trim().parse::<usize>() {
+            Ok(n) if n >= 1 => n,
+            _ => {
+                cfx_obs::warn!(
+                    "cfx_threads_invalid",
+                    value = v.as_str(),
+                    fallback = "available_parallelism",
+                );
+                available()
+            }
+        },
+        Err(_) => available(),
     })
 }
 
@@ -85,8 +78,8 @@ pub fn hw_threads() -> usize {
 }
 
 /// The FLOP threshold the cost-aware dispatcher uses on this thread:
-/// the innermost [`with_par_threshold`] override, `CFX_PAR_THRESHOLD`
-/// if set to a number, else [`DEFAULT_PAR_THRESHOLD`].
+/// the innermost [`with_par_threshold`] override, else
+/// [`DEFAULT_PAR_THRESHOLD`].
 ///
 /// A threshold of `0` means "always parallel": the dispatcher spawns
 /// [`current_threads`] workers regardless of work size or core count.
@@ -94,25 +87,9 @@ pub fn hw_threads() -> usize {
 /// parallel split paths on machines where the dispatcher would
 /// otherwise (correctly) stay serial.
 pub fn par_threshold() -> u64 {
-    if let Some(t) = THRESHOLD_OVERRIDE.with(|o| o.get()) {
-        return t;
-    }
-    *PAR_THRESHOLD.get_or_init(|| {
-        match std::env::var("CFX_PAR_THRESHOLD") {
-            Ok(v) => match v.trim().parse::<u64>() {
-                Ok(t) => t,
-                Err(_) => {
-                    cfx_obs::warn!(
-                        "cfx_par_threshold_invalid",
-                        value = v.as_str(),
-                        fallback = DEFAULT_PAR_THRESHOLD,
-                    );
-                    DEFAULT_PAR_THRESHOLD
-                }
-            },
-            Err(_) => DEFAULT_PAR_THRESHOLD,
-        }
-    })
+    THRESHOLD_OVERRIDE
+        .with(|o| o.get())
+        .unwrap_or(DEFAULT_PAR_THRESHOLD)
 }
 
 /// Runs `f` with this thread's dispatch threshold pinned to `t`

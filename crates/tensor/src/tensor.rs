@@ -289,7 +289,7 @@ impl Tensor {
     /// Runs the register-tiled microkernel in [`crate::kernel`]; the
     /// cost-aware dispatcher ([`runtime::dispatch_rows`]) splits output
     /// rows across worker threads only when the call offers enough FLOPs
-    /// per worker to amortize spawning (`CFX_PAR_THRESHOLD`).
+    /// per worker to amortize spawning ([`runtime::par_threshold`]).
     ///
     /// Accumulation into every output element happens in ascending-`k`
     /// order regardless of thread count, tiling, or panelling, so results

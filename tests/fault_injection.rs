@@ -5,9 +5,8 @@
 //! (crippled decoder still yields a counterfactual per sample), and
 //! bitwise determinism of the recovered weights across thread counts.
 //!
-//! Everything that *injects* needs the `guard` cargo feature (on by
-//! default); the crippled-decoder test corrupts weights directly and
-//! runs in every configuration.
+//! The `injected` tests arm the tape-level injector; the
+//! crippled-decoder test corrupts weights directly.
 
 use cfx::core::{
     ConstraintMode, FeasibleCfConfig, FeasibleCfModel, Provenance,
@@ -83,7 +82,6 @@ fn crippled_decoder_falls_back_for_every_sample() {
     assert_eq!(counts.resampled, 0);
 }
 
-#[cfg(feature = "guard")]
 mod injected {
     use super::*;
     use cfx::tensor::guard::{self, Fault, FaultKind};

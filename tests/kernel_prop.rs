@@ -8,9 +8,7 @@
 //! (correctly) stay serial.
 
 use cfx::tensor::pool;
-#[cfg(feature = "parallel")]
-use cfx::tensor::runtime::dispatch_counts;
-use cfx::tensor::runtime::{with_par_threshold, with_threads};
+use cfx::tensor::runtime::{dispatch_counts, with_par_threshold, with_threads};
 use cfx::tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -195,10 +193,8 @@ fn boundary_shapes_bitwise_equal_reference() {
 
 /// The zero-threshold override really forces the parallel path (the
 /// test escape the properties above rely on), and the dispatcher's
-/// decision counters move accordingly. Serial builds pin the thread
-/// count to 1, where the dispatcher (correctly) never goes parallel,
-/// so the assertion only makes sense with the `parallel` feature.
-#[cfg(feature = "parallel")]
+/// decision counters move accordingly — also under `CFX_THREADS=1`,
+/// because `with_threads` overrides the process-wide cap.
 #[test]
 fn zero_threshold_forces_parallel_dispatch() {
     let mut rng = StdRng::seed_from_u64(7);

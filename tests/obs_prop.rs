@@ -1,5 +1,5 @@
-//! Telemetry must be a pure observer: with the `obs` feature on, a
-//! JSONL trace sink open, and the op profiler armed, training must
+//! Telemetry must be a pure observer: with a JSONL trace sink open,
+//! metrics recording, and the op profiler armed, training must
 //! produce **bitwise** the same weights and the same `TrainReport` as a
 //! silent run — at 1, 2, and 4 threads. The trace itself must honour
 //! the schema-v1 contract: every line parses, every `fit_epoch` event
@@ -86,9 +86,6 @@ fn scratch_trace(tag: &str) -> PathBuf {
 /// is canonical, so equal strings mean equal `f32` bits.
 #[test]
 fn telemetry_is_a_pure_observer_at_1_2_4_threads() {
-    if !cfx_obs::ENABLED {
-        return;
-    }
     let _g = lock();
     let (data, bb) = setup();
     cfx_obs::set_stderr(false);
@@ -129,9 +126,6 @@ fn telemetry_is_a_pure_observer_at_1_2_4_threads() {
 /// (plus the total) as finite numbers.
 #[test]
 fn three_epoch_trace_round_trips_with_loss_components() {
-    if !cfx_obs::ENABLED {
-        return;
-    }
     let _g = lock();
     let (data, bb) = setup();
     cfx_obs::set_stderr(false);
@@ -194,9 +188,6 @@ fn three_epoch_trace_round_trips_with_loss_components() {
 /// stderr-profiler form (`1`/`stderr`).
 #[test]
 fn env_trace_scenario() {
-    if !cfx_obs::ENABLED {
-        return;
-    }
     let spec = match std::env::var("CFX_TRACE") {
         Ok(s) if !s.is_empty() && s != "1" && s != "stderr" => s,
         _ => return,

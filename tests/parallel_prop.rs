@@ -9,6 +9,7 @@ use cfx::tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Mutex, MutexGuard};
 
 fn random_tensor(rows: usize, cols: usize, rng: &mut StdRng) -> Tensor {
     Tensor::from_vec(
@@ -16,6 +17,14 @@ fn random_tensor(rows: usize, cols: usize, rng: &mut StdRng) -> Tensor {
         cols,
         (0..rows * cols).map(|_| rng.gen_range(-2.0f32..2.0)).collect(),
     )
+}
+
+/// The transpose counter is process-global; serialize every test that
+/// transposes or reads it, so one test's transposes never land inside
+/// another's measurement window.
+fn transpose_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Naive ikj serial reference, independent of the library kernel.
@@ -63,6 +72,7 @@ proptest! {
         (m, k, n) in (1usize..30, 1usize..30, 1usize..30),
         seed in any::<u64>(),
     ) {
+        let _g = transpose_lock();
         let mut rng = StdRng::seed_from_u64(seed);
         // matmul_at: (k, m)ᵀ @ (k, n).
         let a = random_tensor(k, m, &mut rng);
@@ -143,6 +153,7 @@ fn backward_pass_materializes_no_transposes() {
     let h = tape.relu(h);
     let y = tape.matmul(h, w2);
     let loss = tape.mean(y);
+    let _g = transpose_lock();
     let before = cfx::tensor::tensor::transpose_count();
     tape.backward(loss);
     assert_eq!(

@@ -232,7 +232,6 @@ fn pooled_fit_is_bitwise_identical_across_threads_and_pool_state() {
 /// tape hands its working set back to the thread-local pool), an entire
 /// identical fit — every forward value, gradient buffer, and gathered
 /// mini-batch — is served from the pool with **zero** misses.
-#[cfg(feature = "pool-stats")]
 #[test]
 fn steady_state_training_performs_zero_pool_misses() {
     use cfx::tensor::pool;

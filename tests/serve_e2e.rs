@@ -175,15 +175,13 @@ fn routes_and_typed_errors() {
     // metrics — the families CI greps must be present even pre-traffic.
     let (code, body) = roundtrip(addr, b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
     assert_eq!(code, 200);
-    if cfx_obs::ENABLED {
-        for family in [
-            "cfx_serve_requests_total",
-            "cfx_serve_shed_total",
-            "cfx_serve_queue_depth",
-            "cfx_serve_active_connections",
-        ] {
-            assert!(body.contains(family), "missing {family} in:\n{body}");
-        }
+    for family in [
+        "cfx_serve_requests_total",
+        "cfx_serve_shed_total",
+        "cfx_serve_queue_depth",
+        "cfx_serve_active_connections",
+    ] {
+        assert!(body.contains(family), "missing {family} in:\n{body}");
     }
 
     // a successful explain
@@ -257,7 +255,7 @@ fn deadline_paths_are_typed_timeouts() {
     let x = cfx::tensor::Tensor::from_rows(&rows);
     let err = f
         .model
-        .explain_batch_deadline(&x, &GenRecoveryConfig::default(), Duration::ZERO)
+        .explain_batch_deadline_stream(&x, &GenRecoveryConfig::default(), Duration::ZERO, 0)
         .unwrap_err();
     assert!(matches!(err, CfxError::Timeout { .. }), "{err}");
 

@@ -201,20 +201,18 @@ fn tracing_and_drift_are_pure_observers_at_every_worker_count() {
         );
     }
     cfx_obs::flush_jsonl();
-    if cfx_obs::ENABLED {
-        // The traced runs actually traced: schema-v2 request records
-        // with stage chains landed in the sink.
-        let text = std::fs::read_to_string(&trace_path).expect("trace file");
-        assert!(
-            text.contains("\"kind\":\"request\""),
-            "no request records in trace"
-        );
-        assert!(
-            text.contains("\"kind\":\"stage\""),
-            "no stage records in trace"
-        );
-        assert!(text.contains("\"trace\":\""), "no trace ids in trace");
-    }
+    // The traced runs actually traced: schema-v2 request records
+    // with stage chains landed in the sink.
+    let text = std::fs::read_to_string(&trace_path).expect("trace file");
+    assert!(
+        text.contains("\"kind\":\"request\""),
+        "no request records in trace"
+    );
+    assert!(
+        text.contains("\"kind\":\"stage\""),
+        "no stage records in trace"
+    );
+    assert!(text.contains("\"trace\":\""), "no trace ids in trace");
     let _ = std::fs::remove_file(&trace_path);
 }
 
