@@ -70,6 +70,7 @@ pub use loss::{
 pub use mask::ImmutableMask;
 pub use path::{LatentPath, PathStep};
 pub use model::{
-    EpochStats, FaultDetected, FeasibleCfModel, RecoveryEvent, TrainReport,
-    TrainStatus, SERVABLE_FORMAT, SERVABLE_REFSTATS,
+    EpochStats, FaultDetected, FeasibleCfModel, RecoveryEvent,
+    ReferenceStats, TrainReport, TrainStatus, SERVABLE_FORMAT,
+    SERVABLE_REFSTATS,
 };

@@ -11,6 +11,7 @@ use crate::mask::ImmutableMask;
 use cfx_data::{DatasetId, EncodedDataset};
 use cfx_models::{BlackBox, Cvae, EnsembleBlackBox};
 use cfx_obs::metrics::{counter, gauge};
+use cfx_obs::sketch::{FeatureStats, BINS};
 use cfx_tensor::init::randn_tensor;
 use cfx_tensor::stable_sigmoid;
 use cfx_tensor::Activation;
@@ -964,48 +965,17 @@ impl FeasibleCfModel {
     /// Writes everything a serving process needs to reconstruct this
     /// trained model — generator and classifier weights plus a format
     /// marker and the encoded width — into `ckpt` under `serve.*`
-    /// sections. The scaffold (constraints, mask, config) is rebuilt by
-    /// the loader from the dataset spec; only learned state travels in
-    /// the file.
-    pub fn export_servable(&self, ckpt: &mut Checkpoint) {
+    /// sections, followed by the [`ReferenceStats`] of `data` (the
+    /// training distribution the serving daemon's live drift monitor
+    /// scores incoming rows against). The scaffold (constraints, mask,
+    /// config) is rebuilt by the loader from the dataset spec; only
+    /// learned state travels in the file.
+    pub fn export_servable(&self, data: &EncodedDataset, ckpt: &mut Checkpoint) {
         ckpt.put_str("serve.format", SERVABLE_FORMAT);
         ckpt.put_u64s("serve.width", &[self.blackbox.input_dim() as u64]);
         self.vae.export_to(ckpt, "serve.vae");
         self.blackbox.export_to(ckpt, "serve.bb");
-    }
-
-    /// [`export_servable`](Self::export_servable) plus the reference
-    /// traffic moments the serving daemon's live drift monitor compares
-    /// incoming rows against: per encoded column, the training-set mean,
-    /// variance and smoothed [`cfx_obs::sketch::BINS`]-bin distribution
-    /// over `[0, 1]`, as a `width × (2 + BINS)` table under
-    /// [`SERVABLE_REFSTATS`]. The section is optional on import — a
-    /// checkpoint without it still loads, and the server falls back to
-    /// recomputing the stats from its boot dataset.
-    pub fn export_servable_full(
-        &self,
-        data: &EncodedDataset,
-        ckpt: &mut Checkpoint,
-    ) {
-        use cfx_obs::sketch::{FeatureStats, BINS};
-        self.export_servable(ckpt);
-        let width = data.width();
-        let x = &data.x;
-        let mut stats = vec![FeatureStats::default(); width];
-        for r in 0..x.rows() {
-            for (c, &v) in x.row_slice(r).iter().enumerate() {
-                stats[c].push(v as f64);
-            }
-        }
-        let mut table = Vec::with_capacity(width * (2 + BINS));
-        for s in &stats {
-            table.push(s.moments.mean() as f32);
-            table.push(s.moments.variance() as f32);
-            for p in s.sketch.proportions() {
-                table.push(p as f32);
-            }
-        }
-        ckpt.put_f32_table(SERVABLE_REFSTATS, width, 2 + BINS, &table);
+        ReferenceStats::from_dataset(data).write_to(ckpt);
     }
 
     /// Restores the learned state written by
@@ -1043,9 +1013,88 @@ impl FeasibleCfModel {
 /// Format marker of [`FeasibleCfModel::export_servable`] checkpoints.
 pub const SERVABLE_FORMAT: &str = "cfx-servable-v1";
 
-/// Checkpoint table name of the reference traffic moments written by
-/// [`FeasibleCfModel::export_servable_full`].
+/// Checkpoint table name of the [`ReferenceStats`] written by
+/// [`FeasibleCfModel::export_servable`].
 pub const SERVABLE_REFSTATS: &str = "serve.refstats";
+
+/// Reference (training-time) per-column moments and bin distributions:
+/// what the serving daemon's live drift monitor scores incoming rows
+/// against. Stored under [`SERVABLE_REFSTATS`] as a `width × (2 + BINS)`
+/// f32 table, row-major `[mean, var, p_0 .. p_{BINS-1}]`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReferenceStats {
+    /// Per-column training mean.
+    pub means: Vec<f32>,
+    /// Per-column training variance.
+    pub vars: Vec<f32>,
+    /// Per-column smoothed bin proportions over `[0, 1]` (length
+    /// `width`, each [`BINS`] long, summing to ~1).
+    pub bins: Vec<[f64; BINS]>,
+}
+
+impl ReferenceStats {
+    /// Encoded width these stats describe.
+    pub fn width(&self) -> usize {
+        self.means.len()
+    }
+
+    /// Computes the stats of every encoded column of `data`.
+    pub fn from_dataset(data: &EncodedDataset) -> Self {
+        let mut stats = vec![FeatureStats::default(); data.width()];
+        for r in 0..data.x.rows() {
+            for (c, &v) in data.x.row_slice(r).iter().enumerate() {
+                stats[c].push(v as f64);
+            }
+        }
+        ReferenceStats {
+            means: stats.iter().map(|s| s.moments.mean() as f32).collect(),
+            vars: stats.iter().map(|s| s.moments.variance() as f32).collect(),
+            bins: stats.iter().map(|s| s.sketch.proportions()).collect(),
+        }
+    }
+
+    /// Encodes the stats into `ckpt` as the [`SERVABLE_REFSTATS`] table.
+    pub fn write_to(&self, ckpt: &mut Checkpoint) {
+        let mut table = Vec::with_capacity(self.width() * (2 + BINS));
+        for ((&mean, &var), bins) in
+            self.means.iter().zip(&self.vars).zip(&self.bins)
+        {
+            table.push(mean);
+            table.push(var);
+            table.extend(bins.iter().map(|&p| p as f32));
+        }
+        ckpt.put_f32_table(SERVABLE_REFSTATS, self.width(), 2 + BINS, &table);
+    }
+
+    /// Decodes the [`SERVABLE_REFSTATS`] table of `ckpt`. `None` when the
+    /// table is missing or malformed (wrong shape, no rows, or a bin
+    /// proportion that is not a positive finite number): the caller
+    /// recomputes the stats rather than score against garbage.
+    pub fn read_from(ckpt: &Checkpoint) -> Option<Self> {
+        let (rows, cols, data) = ckpt.f32_table(SERVABLE_REFSTATS).ok()?;
+        if cols != 2 + BINS || rows == 0 {
+            return None;
+        }
+        let mut stats = ReferenceStats {
+            means: Vec::with_capacity(rows),
+            vars: Vec::with_capacity(rows),
+            bins: Vec::with_capacity(rows),
+        };
+        for row in data.chunks_exact(cols) {
+            let mut bins = [0.0f64; BINS];
+            for (o, &p) in bins.iter_mut().zip(&row[2..]) {
+                if !(p.is_finite() && p > 0.0) {
+                    return None;
+                }
+                *o = p as f64;
+            }
+            stats.means.push(row[0]);
+            stats.vars.push(row[1]);
+            stats.bins.push(bins);
+        }
+        Some(stats)
+    }
+}
 
 /// Builds a length-`n` epoch order drawing alternately from the two
 /// prediction groups (shuffled, minority oversampled by cycling). Falls
@@ -1258,5 +1307,35 @@ mod tests {
         let model = FeasibleCfModel::new(&data, bb, vec![], cfg.clone());
         let mu = model.latent_mu(&data.x.slice_rows(0, 10));
         assert_eq!(mu.shape(), (10, cfg.latent_dim));
+    }
+
+    #[test]
+    fn reference_stats_table_round_trips() {
+        let (data, _) = small_setup();
+        let stats = ReferenceStats::from_dataset(&data);
+        assert_eq!(stats.width(), data.width());
+        let mut ckpt = Checkpoint::new();
+        stats.write_to(&mut ckpt);
+        let back = ReferenceStats::read_from(&ckpt).unwrap();
+        assert_eq!(back.means, stats.means);
+        assert_eq!(back.vars, stats.vars);
+        for (a, b) in back.bins.iter().zip(&stats.bins) {
+            for (x, y) in a.iter().zip(b) {
+                assert_eq!(*x, *y as f32 as f64);
+            }
+        }
+        // A missing or malformed table refuses rather than misreads.
+        assert!(ReferenceStats::read_from(&Checkpoint::new()).is_none());
+        let mut bad = Checkpoint::new();
+        bad.put_f32_table(SERVABLE_REFSTATS, 1, 1 + BINS, &[0.5; 1 + BINS]);
+        assert!(ReferenceStats::read_from(&bad).is_none());
+        let mut bad = Checkpoint::new();
+        bad.put_f32_table(SERVABLE_REFSTATS, 0, 2 + BINS, &[]);
+        assert!(ReferenceStats::read_from(&bad).is_none());
+        let mut row = vec![0.5f32; 2 + BINS];
+        row[2] = 0.0;
+        let mut bad = Checkpoint::new();
+        bad.put_f32_table(SERVABLE_REFSTATS, 1, 2 + BINS, &row);
+        assert!(ReferenceStats::read_from(&bad).is_none());
     }
 }

@@ -152,7 +152,8 @@ impl ResponseCache {
         if !self.enabled() {
             return None;
         }
-        let mut shard = self.shards[key.shard()].lock().unwrap();
+        let mut shard =
+            self.shards[key.shard()].lock().expect("shard lock poisoned");
         match shard.get_mut(key) {
             Some(entry) => {
                 entry.touched = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
@@ -179,7 +180,7 @@ impl ResponseCache {
             return;
         }
         let idx = key.shard();
-        let mut shard = self.shards[idx].lock().unwrap();
+        let mut shard = self.shards[idx].lock().expect("shard lock poisoned");
         let touched = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
         if !shard.contains_key(&key) && shard.len() >= self.shard_cap {
             if let Some(victim) = shard
@@ -203,7 +204,7 @@ impl ResponseCache {
             .iter()
             .enumerate()
             .filter(|(i, _)| *i != idx)
-            .map(|(_, s)| s.lock().unwrap().len())
+            .map(|(_, s)| s.lock().expect("shard lock poisoned").len())
             .sum();
         cfx_obs::metrics::gauge("cfx_serve_cache_entries")
             .set((others + len) as f64);
@@ -215,7 +216,7 @@ impl ResponseCache {
             return;
         }
         for shard in &self.shards {
-            shard.lock().unwrap().clear();
+            shard.lock().expect("shard lock poisoned").clear();
         }
         self.invalidations.fetch_add(1, Ordering::Relaxed);
         cfx_obs::metrics::counter("cfx_serve_cache_invalidations_total")
@@ -226,7 +227,10 @@ impl ResponseCache {
     /// Current resident entry count (sums shard locks; for health and
     /// tests, not the hot path).
     pub fn entries(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.lock().expect("shard lock poisoned").len())
+            .sum()
     }
 
     /// Monotone tallies since construction.

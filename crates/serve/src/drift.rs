@@ -13,17 +13,17 @@
 //! arrival interleaving within a shard) and computes a population
 //! stability index per encoded column against [`ReferenceStats`]
 //! exported at checkpoint time (`serve.refstats`, written by
-//! `FeasibleCfModel::export_servable_full`) or recomputed from the
-//! boot dataset.
+//! `FeasibleCfModel::export_servable`) or recomputed from the boot
+//! dataset.
 //!
 //! The monitor is a pure observer: it never touches response bytes,
 //! consumes no RNG state, and its accumulation cost is a handful of
 //! float ops per cell under a sharded lock.
 
 use crate::shard::shard;
-use cfx_data::EncodedDataset;
+use cfx_core::ReferenceStats;
 use cfx_obs::metrics::{gauge, gauge_labeled};
-use cfx_obs::sketch::{psi, FeatureStats, BINS};
+use cfx_obs::sketch::{psi, FeatureStats};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -43,70 +43,6 @@ pub const REFRESH_EVERY_ROWS: u64 = 64;
 /// per-column expectation to ~0.06 and keep the worst of ~30 columns
 /// comfortably under 0.25. So: no paging before 256 observed rows.
 pub const MIN_WARN_ROWS: u64 = 256;
-
-/// Reference (training-time) per-column moments and bin distributions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReferenceStats {
-    /// Per-column training mean.
-    pub means: Vec<f32>,
-    /// Per-column training variance.
-    pub vars: Vec<f32>,
-    /// Per-column smoothed bin proportions (length `width`, each
-    /// [`BINS`] long, summing to ~1).
-    pub bins: Vec<[f64; BINS]>,
-}
-
-impl ReferenceStats {
-    /// Encoded width these stats describe.
-    pub fn width(&self) -> usize {
-        self.means.len()
-    }
-
-    /// Computes reference stats directly from an encoded dataset (the
-    /// boot path, and the fallback when a hot-loaded checkpoint carries
-    /// no `serve.refstats` section).
-    pub fn from_dataset(data: &EncodedDataset) -> Self {
-        let width = data.width();
-        let mut stats = vec![FeatureStats::default(); width];
-        for r in 0..data.x.rows() {
-            for (c, &v) in data.x.row_slice(r).iter().enumerate() {
-                stats[c].push(v as f64);
-            }
-        }
-        ReferenceStats {
-            means: stats.iter().map(|s| s.moments.mean() as f32).collect(),
-            vars: stats.iter().map(|s| s.moments.variance() as f32).collect(),
-            bins: stats.iter().map(|s| s.sketch.proportions()).collect(),
-        }
-    }
-
-    /// Decodes the `width × (2 + BINS)` table written by
-    /// `FeasibleCfModel::export_servable_full` (row-major
-    /// `[mean, var, p_0.., p_{BINS-1}]`). `None` on any shape mismatch —
-    /// the caller falls back to [`from_dataset`](Self::from_dataset)
-    /// rather than serving with garbage reference moments.
-    pub fn from_table(rows: usize, cols: usize, data: &[f32]) -> Option<Self> {
-        if cols != 2 + BINS || rows == 0 || data.len() != rows * cols {
-            return None;
-        }
-        let mut means = Vec::with_capacity(rows);
-        let mut vars = Vec::with_capacity(rows);
-        let mut bins = Vec::with_capacity(rows);
-        for row in data.chunks_exact(cols) {
-            means.push(row[0]);
-            vars.push(row[1]);
-            let mut b = [0.0f64; BINS];
-            for (o, &v) in b.iter_mut().zip(row[2..].iter()) {
-                if !(v.is_finite() && v > 0.0) {
-                    return None;
-                }
-                *o = v as f64;
-            }
-            bins.push(b);
-        }
-        Some(ReferenceStats { means, vars, bins })
-    }
-}
 
 /// Per-feature and overall drift scores at one instant.
 #[derive(Debug, Clone, PartialEq)]
@@ -327,7 +263,7 @@ pub fn healthz_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfx_obs::sketch::BinSketch;
+    use cfx_obs::sketch::{BinSketch, BINS};
 
     fn reference_uniform(width: usize) -> ReferenceStats {
         // Uniform-ish reference: equal mass in every bin.
@@ -430,31 +366,5 @@ mod tests {
         for (x, y) in ma.iter().zip(mb.iter()) {
             assert_eq!(x.sketch, y.sketch);
         }
-    }
-
-    #[test]
-    fn reference_table_roundtrip() {
-        let width = 5;
-        let reference = reference_uniform(width);
-        let cols = 2 + BINS;
-        let mut data = Vec::new();
-        for c in 0..width {
-            data.push(reference.means[c]);
-            data.push(reference.vars[c]);
-            for &p in &reference.bins[c] {
-                data.push(p as f32);
-            }
-        }
-        let back = ReferenceStats::from_table(width, cols, &data).unwrap();
-        assert_eq!(back.width(), width);
-        for c in 0..width {
-            assert_eq!(back.means[c], reference.means[c]);
-            for (a, b) in back.bins[c].iter().zip(reference.bins[c].iter()) {
-                assert!((a - b).abs() < 1e-6);
-            }
-        }
-        // Shape mismatches refuse rather than misinterpret.
-        assert!(ReferenceStats::from_table(width, cols - 1, &data).is_none());
-        assert!(ReferenceStats::from_table(0, cols, &[]).is_none());
     }
 }

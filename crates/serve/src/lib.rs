@@ -50,7 +50,7 @@ pub use batcher::{
     BatcherConfig, ExplainJob, JobReply, WorkerCtx, WorkerTimings,
 };
 pub use cache::{CacheKey, CacheStats, ResponseCache};
-pub use drift::{DriftMonitor, DriftScores, ReferenceStats};
+pub use drift::{DriftMonitor, DriftScores};
 pub use fault::{FaultClock, ServeFault};
 pub use http::{Limits, ParseError};
 pub use queue::{BoundedQueue, PushError};

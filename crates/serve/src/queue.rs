@@ -50,7 +50,7 @@ impl<T> BoundedQueue<T> {
 
     /// Current depth (racy by nature; used for gauges and health).
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().items.len()
+        self.inner.lock().expect("queue lock poisoned").items.len()
     }
 
     /// Whether the queue is currently empty.
@@ -60,13 +60,13 @@ impl<T> BoundedQueue<T> {
 
     /// Whether [`close`](Self::close) has been called.
     pub fn is_closed(&self) -> bool {
-        self.inner.lock().unwrap().closed
+        self.inner.lock().expect("queue lock poisoned").closed
     }
 
     /// Non-blocking push; a full or closed queue refuses and returns the
     /// item so the caller can reply with a typed shed/drain response.
     pub fn try_push(&self, item: T) -> Result<usize, PushError<T>> {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.inner.lock().expect("queue lock poisoned");
         if g.closed {
             return Err(PushError::Closed(item));
         }
@@ -83,7 +83,7 @@ impl<T> BoundedQueue<T> {
     /// Blocks until an item is available or the queue is closed *and*
     /// empty (drain complete) — `None` means the consumer should exit.
     pub fn pop_wait(&self) -> Option<T> {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.inner.lock().expect("queue lock poisoned");
         loop {
             if let Some(item) = g.items.pop_front() {
                 return Some(item);
@@ -91,14 +91,14 @@ impl<T> BoundedQueue<T> {
             if g.closed {
                 return None;
             }
-            g = self.nonempty.wait(g).unwrap();
+            g = self.nonempty.wait(g).expect("queue lock poisoned");
         }
     }
 
     /// Like [`pop_wait`](Self::pop_wait) but gives up at `deadline`;
     /// `None` means either timeout or drained-and-closed.
     pub fn pop_until(&self, deadline: Instant) -> Option<T> {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.inner.lock().expect("queue lock poisoned");
         loop {
             if let Some(item) = g.items.pop_front() {
                 return Some(item);
@@ -110,8 +110,10 @@ impl<T> BoundedQueue<T> {
             if now >= deadline {
                 return None;
             }
-            let (guard, timeout) =
-                self.nonempty.wait_timeout(g, deadline - now).unwrap();
+            let (guard, timeout) = self
+                .nonempty
+                .wait_timeout(g, deadline - now)
+                .expect("queue lock poisoned");
             g = guard;
             if timeout.timed_out() && g.items.is_empty() {
                 return None;
@@ -122,7 +124,7 @@ impl<T> BoundedQueue<T> {
     /// Stops admissions and wakes all blocked consumers; queued items
     /// remain poppable so in-flight work finishes.
     pub fn close(&self) {
-        self.inner.lock().unwrap().closed = true;
+        self.inner.lock().expect("queue lock poisoned").closed = true;
         self.nonempty.notify_all();
     }
 }

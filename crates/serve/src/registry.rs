@@ -12,10 +12,9 @@
 //! corrupt state is never loaded and never crashes the daemon.
 
 use crate::cache::ResponseCache;
-use crate::drift::ReferenceStats;
 use crate::shard::fnv1a64;
 use cfx_core::{
-    ExplainConfig, FeasibleCfModel, GenRecoveryConfig, SERVABLE_REFSTATS,
+    ExplainConfig, FeasibleCfModel, GenRecoveryConfig, ReferenceStats,
 };
 use cfx_data::EncodedDataset;
 use cfx_tensor::checkpoint::{self, Checkpoint};
@@ -68,9 +67,9 @@ pub struct ModelRegistry {
     current: Mutex<Arc<Servable>>,
     /// Reference traffic moments for the drift monitor, refreshed with
     /// every hot swap: preferred source is the checkpoint's
-    /// `serve.refstats` table (exported by `export_servable_full`, i.e.
-    /// the *new* model's training distribution); a checkpoint without
-    /// one falls back to recomputing from the boot dataset.
+    /// `serve.refstats` table (written by `export_servable`, i.e. the
+    /// *new* model's training distribution); a checkpoint without a
+    /// readable one falls back to recomputing from the boot dataset.
     ref_stats: Mutex<Arc<ReferenceStats>>,
     dir: Option<PathBuf>,
     loaded: Mutex<Option<(SystemTime, PathBuf)>>,
@@ -101,18 +100,18 @@ impl ModelRegistry {
 
     /// Registers the response cache to invalidate on every hot swap.
     pub fn attach_cache(&self, cache: Arc<ResponseCache>) {
-        *self.cache.lock().unwrap() = Some(cache);
+        *self.cache.lock().expect("cache lock poisoned") = Some(cache);
     }
 
     /// The snapshot to serve the next batch from.
     pub fn current(&self) -> Arc<Servable> {
-        Arc::clone(&self.current.lock().unwrap())
+        Arc::clone(&self.current.lock().expect("current lock poisoned"))
     }
 
     /// The reference traffic moments the drift monitor scores against
     /// (training-set stats of the currently served model).
     pub fn ref_stats(&self) -> Arc<ReferenceStats> {
-        Arc::clone(&self.ref_stats.lock().unwrap())
+        Arc::clone(&self.ref_stats.lock().expect("ref_stats lock poisoned"))
     }
 
     /// Scans the watch directory and hot-loads the newest checkpoint if
@@ -133,14 +132,15 @@ impl ModelRegistry {
             return Ok(false);
         };
         {
-            let loaded = self.loaded.lock().unwrap();
+            let loaded = self.loaded.lock().expect("loaded lock poisoned");
             if loaded.as_ref() == Some(&(mtime, path.clone())) {
                 return Ok(false);
             }
         }
         match self.try_load(&path) {
             Ok(()) => {
-                *self.loaded.lock().unwrap() = Some((mtime, path.clone()));
+                *self.loaded.lock().expect("loaded lock poisoned") =
+                    Some((mtime, path.clone()));
                 cfx_obs::metrics::counter("cfx_serve_model_reloads_total").inc(1);
                 cfx_obs::info!(
                     "serve_model_reloaded",
@@ -192,16 +192,14 @@ impl ModelRegistry {
         // checkpoint's own training moments when it shipped them, else
         // the boot dataset's (better than scoring against a model that
         // is no longer serving).
-        let fresh_ref = ckpt
-            .f32_table(SERVABLE_REFSTATS)
-            .ok()
-            .and_then(|(rows, cols, data)| {
-                ReferenceStats::from_table(rows, cols, &data)
-            })
+        let fresh_ref = ReferenceStats::read_from(&ckpt)
             .unwrap_or_else(|| ReferenceStats::from_dataset(&cur.data));
-        *self.current.lock().unwrap() = Arc::new(next);
-        *self.ref_stats.lock().unwrap() = Arc::new(fresh_ref);
-        if let Some(cache) = self.cache.lock().unwrap().as_ref() {
+        *self.current.lock().expect("current lock poisoned") = Arc::new(next);
+        *self.ref_stats.lock().expect("ref_stats lock poisoned") =
+            Arc::new(fresh_ref);
+        if let Some(cache) =
+            self.cache.lock().expect("cache lock poisoned").as_ref()
+        {
             cache.invalidate_all();
         }
         Ok(())
@@ -227,4 +225,83 @@ fn newest_checkpoint(dir: &Path) -> Option<(SystemTime, PathBuf)> {
         }
     }
     best
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cfx_core::{ConstraintMode, FeasibleCfConfig, SERVABLE_REFSTATS};
+    use cfx_data::DatasetId;
+    use cfx_models::{BlackBox, BlackBoxConfig};
+    use cfx_obs::sketch::BINS;
+
+    fn boot() -> Servable {
+        let data =
+            EncodedDataset::from_raw(&DatasetId::Adult.generate_clean(300, 5));
+        let bb = BlackBox::new(data.width(), &BlackBoxConfig::default());
+        let cfg =
+            FeasibleCfConfig::paper(DatasetId::Adult, ConstraintMode::Unary);
+        Servable {
+            model: FeasibleCfModel::new(&data, bb, vec![], cfg),
+            data,
+            explain: ExplainConfig::default(),
+            recovery: GenRecoveryConfig::default(),
+            version: 0,
+            source: "boot".into(),
+        }
+    }
+
+    /// A servable checkpoint as files written before the reference
+    /// table existed hold it: format, width and weights, no
+    /// `serve.refstats`.
+    fn legacy_checkpoint(model: &FeasibleCfModel) -> Checkpoint {
+        let mut ckpt = Checkpoint::new();
+        ckpt.put_str("serve.format", cfx_core::SERVABLE_FORMAT);
+        ckpt.put_u64s("serve.width", &[model.blackbox().input_dim() as u64]);
+        model.vae().export_to(&mut ckpt, "serve.vae");
+        model.blackbox().export_to(&mut ckpt, "serve.bb");
+        ckpt
+    }
+
+    #[test]
+    fn reload_without_a_readable_table_falls_back_to_boot_stats() {
+        let dir = std::env::temp_dir()
+            .join(format!("cfx-registry-refstats-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let registry = ModelRegistry::new(boot(), Some(dir.clone()));
+        let model = registry.current().model.clone();
+        let boot_stats = ReferenceStats::from_dataset(&registry.current().data);
+        let width = boot_stats.width();
+        let shipped = ReferenceStats {
+            means: vec![0.5; width],
+            vars: vec![0.25; width],
+            bins: vec![[1.0 / BINS as f64; BINS]; width],
+        };
+        assert_ne!(shipped, boot_stats);
+
+        let with_table = |stats: &ReferenceStats| {
+            let mut ckpt = legacy_checkpoint(&model);
+            stats.write_to(&mut ckpt);
+            ckpt
+        };
+        let mut malformed = legacy_checkpoint(&model);
+        let short_rows = vec![0.5; width * 3];
+        malformed.put_f32_table(SERVABLE_REFSTATS, width, 3, &short_rows);
+        // Names sort in load order; each file is newer than the last.
+        let steps = [
+            (with_table(&shipped), &shipped),
+            (malformed, &boot_stats),
+            (with_table(&shipped), &shipped),
+            (legacy_checkpoint(&model), &boot_stats),
+        ];
+        for (i, (ckpt, expect)) in steps.iter().enumerate() {
+            let path = dir.join(format!("m{i}.{}", checkpoint::EXTENSION));
+            ckpt.write_atomic(&path).expect("write checkpoint");
+            assert!(registry.poll().expect("poll"), "m{i} did not load");
+            assert_eq!(registry.current().version, i as u64 + 1);
+            assert_eq!(*registry.ref_stats(), **expect, "after m{i}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -337,11 +337,6 @@ impl Checkpoint {
         Ok((rows as usize, cols as usize, data))
     }
 
-    /// True when a table of this name exists (both halves present).
-    pub fn has_f32_table(&self, name: &str) -> bool {
-        self.has(&format!("{name}.shape")) && self.has(&format!("{name}.data"))
-    }
-
     /// Stores a UTF-8 string.
     pub fn put_str(&mut self, name: &str, value: &str) {
         self.put_bytes(name, value.as_bytes().to_vec());

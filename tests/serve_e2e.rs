@@ -315,7 +315,7 @@ fn hot_reload_and_corrupt_quarantine() {
     // drift monitor's hot-reload path is exercised) and wait for the
     // hot reload.
     let mut ckpt = Checkpoint::new();
-    f.model.export_servable_full(&f.data, &mut ckpt);
+    f.model.export_servable(&f.data, &mut ckpt);
     ckpt.write_atomic(&dir.join(format!("m1.{EXTENSION}"))).unwrap();
     let t0 = Instant::now();
     loop {
@@ -582,7 +582,7 @@ fn cache_invalidates_on_hot_swap() {
 
     // Hot-swap a new checkpoint in and wait for it to land.
     let mut ckpt = Checkpoint::new();
-    f.model.export_servable(&mut ckpt);
+    f.model.export_servable(&f.data, &mut ckpt);
     ckpt.write_atomic(&dir.join(format!("m1.{EXTENSION}"))).unwrap();
     let t0 = Instant::now();
     loop {
