@@ -355,8 +355,8 @@ impl FeasibleCfModel {
     /// model & recovery").
     ///
     /// Each completed epoch that improves on the best total loss is
-    /// snapshotted (via [`cfx_tensor::serialize`]). When an epoch trips a
-    /// fault — non-finite loss, non-finite gradients, or divergence past
+    /// snapshotted in memory ([`Module::export_params`]). When an epoch
+    /// trips a fault — non-finite loss, non-finite gradients, or divergence past
     /// `watchdog.divergence_factor × best` — the epoch's partial updates
     /// are discarded: the weights roll back to the snapshot, the learning
     /// rate backs off by `watchdog.lr_backoff`, the data-order RNG is

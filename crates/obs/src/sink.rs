@@ -352,8 +352,8 @@ pub fn stderr_block(text: &str) {
 }
 
 /// Crash-consistent whole-file write: temp sibling → fsync → rename →
-/// parent-dir fsync. Same discipline as `cfx_tensor::checkpoint`,
-/// reimplemented here because `cfx-obs` sits below every other crate.
+/// parent-dir fsync. The workspace's one atomic file write: `cfx-obs`
+/// sits below every other crate, so checkpoints use it too.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let parent = match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => PathBuf::from(p),

@@ -3,9 +3,8 @@
 //!
 //! These are the building blocks of the serve-side live drift monitor:
 //! accumulators are cheap to push into (no allocation, no locks — the
-//! caller shards), exactly mergeable, and the merge is order-sensitive
-//! only in float rounding, which is why the consumer merges shards in
-//! index order (determinism for a fixed partition of the stream).
+//! caller holds the lock), and the bin counts that PSI reads do not
+//! depend on the order observations arrive in.
 //!
 //! Encoded feature values in this workspace live in `[0, 1]` (min-max
 //! scaled numerics, one-hot indicators), so a fixed equal-width binning
@@ -20,7 +19,7 @@ pub const BINS: usize = 16;
 /// so empty bins never produce infinite log-ratios.
 pub const PSI_EPS: f64 = 0.5;
 
-/// Welford streaming mean/variance with exact merge.
+/// Welford streaming mean/variance.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Moments {
     n: u64,
@@ -40,23 +39,6 @@ impl Moments {
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
         self.m2 += delta * (x - self.mean);
-    }
-
-    /// Folds another accumulator in (Chan et al. parallel update).
-    pub fn merge(&mut self, other: &Moments) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = (self.n + other.n) as f64;
-        let delta = other.mean - self.mean;
-        self.mean += delta * (other.n as f64 / n);
-        self.m2 += other.m2
-            + delta * delta * (self.n as f64 * other.n as f64 / n);
-        self.n += other.n;
     }
 
     /// Observation count.
@@ -111,13 +93,6 @@ impl BinSketch {
         self.counts[Self::bin_of(x)] += 1;
     }
 
-    /// Folds another sketch in (exact).
-    pub fn merge(&mut self, other: &BinSketch) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-    }
-
     /// Total observation count.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
@@ -155,12 +130,6 @@ impl FeatureStats {
         self.moments.push(x);
         self.sketch.push(x);
     }
-
-    /// Folds another accumulator in.
-    pub fn merge(&mut self, other: &FeatureStats) {
-        self.moments.merge(&other.moments);
-        self.sketch.merge(&other.sketch);
-    }
 }
 
 /// Population stability index between a reference bin distribution and
@@ -195,31 +164,6 @@ mod tests {
         assert!((m.mean() - mean).abs() < 1e-12);
         assert!((m.variance() - var).abs() < 1e-12);
         assert_eq!(m.count(), xs.len() as u64);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64 * 0.37).sin().abs()).collect();
-        let mut whole = FeatureStats::default();
-        let mut a = FeatureStats::default();
-        let mut b = FeatureStats::default();
-        for (i, &x) in xs.iter().enumerate() {
-            whole.push(x);
-            if i % 2 == 0 {
-                a.push(x);
-            } else {
-                b.push(x);
-            }
-        }
-        let mut merged = FeatureStats::default();
-        merged.merge(&a);
-        merged.merge(&b);
-        assert_eq!(merged.moments.count(), whole.moments.count());
-        assert!((merged.moments.mean() - whole.moments.mean()).abs() < 1e-12);
-        assert!(
-            (merged.moments.variance() - whole.moments.variance()).abs() < 1e-9
-        );
-        assert_eq!(merged.sketch, whole.sketch);
     }
 
     #[test]

@@ -1,32 +1,31 @@
 //! The explain worker pool: deadline-based micro-batching into
-//! `explain_batch`, across N deterministically-sharded workers.
+//! `explain_batch`, across N workers popping one shared queue.
 //!
 //! PR 7 ran one batcher thread, which serializes the serving hot path:
 //! under 64 clients the queue, not the model, sets the latency floor.
-//! The pool removes that funnel. Each worker owns one bounded queue
-//! (jobs are routed to `shard = fnv1a(row_bits) % N` at admission, see
-//! [`crate::shard`]), its own `Arc<Servable>` snapshot grabs, and —
-//! because tensor-pool buffers are thread-local (PR 3) — its own warm
-//! allocation pool. Workers share nothing but the registry and the
-//! response cache, both designed for concurrent readers.
+//! The pool removes that funnel. Every worker pops the one bounded
+//! admission queue, grabs its own `Arc<Servable>` snapshots, and —
+//! because tensor-pool buffers are thread-local — keeps its own warm
+//! allocation pool. Workers share nothing but the queue, the
+//! registry and the response cache.
 //!
 //! **Responses are byte-identical at every worker count.** Two rules
 //! make that hold:
 //!
-//! 1. Each job is explained as its own `explain_batch` call (in
-//!    arrival order within its worker), never concatenated with
-//!    batch-mates — the resampling rung draws noise positionally, so
-//!    concatenation would make a request's bytes depend on strangers.
+//! 1. Each job is explained as its own `explain_batch` call, never
+//!    concatenated with batch-mates — the resampling rung draws noise
+//!    positionally, so concatenation would make a request's bytes
+//!    depend on strangers.
 //! 2. The recovery-resampling RNG stream is derived from the job's
-//!    **row fingerprint** (the same value that picked the worker), not
-//!    from the worker index: re-routing a job by changing
-//!    `CFX_SERVE_WORKERS` cannot move it onto a different stream.
+//!    **row fingerprint** ([`crate::row_fingerprint`]), not from the
+//!    worker index: whichever worker pops a job, it draws the same
+//!    stream.
 //!
 //! Within one worker, batching amortizes queue wake-ups and snapshot
-//! grabs exactly as before: gather ≤ `max_batch_rows` until
-//! `min(linger, earliest deadline)`, answer expired jobs with a typed
-//! [`CfxError::Timeout`] without spending compute, and answer every
-//! admitted job exactly once (the drain contract).
+//! grabs: gather up to [`MAX_BATCH_ROWS`] rows for at most [`LINGER`]
+//! (or until the first job's deadline, if sooner), answer expired jobs
+//! with a typed [`CfxError::Timeout`] without spending compute, and
+//! answer every admitted job exactly once (the drain contract).
 
 use crate::cache::{CacheKey, ResponseCache};
 use crate::queue::BoundedQueue;
@@ -44,8 +43,8 @@ use std::time::{Duration, Instant};
 pub struct ExplainJob {
     /// Decoded feature rows (already width-validated at admission).
     pub rows: Vec<Vec<f32>>,
-    /// Content fingerprint of `rows` ([`crate::shard::row_fingerprint`]):
-    /// the shard selector, the RNG stream, and the cache-key hash.
+    /// Content fingerprint of `rows` ([`crate::row_fingerprint`]): the
+    /// job's recovery-resampling RNG stream.
     pub fingerprint: u64,
     /// Absolute deadline for the reply.
     pub deadline: Instant,
@@ -89,27 +88,15 @@ pub struct JobReply {
     pub timings: WorkerTimings,
 }
 
-/// Batching knobs (per worker).
-#[derive(Debug, Clone, Copy)]
-pub struct BatcherConfig {
-    /// Row budget per flush.
-    pub max_batch_rows: usize,
-    /// How long to linger for batch-mates after the first job.
-    pub linger: Duration,
-}
+/// Row budget per flush.
+pub const MAX_BATCH_ROWS: usize = 256;
 
-impl Default for BatcherConfig {
-    fn default() -> Self {
-        BatcherConfig {
-            max_batch_rows: 256,
-            linger: Duration::from_millis(2),
-        }
-    }
-}
+/// How long a worker lingers for batch-mates after its first job.
+pub const LINGER: Duration = Duration::from_millis(2);
 
 /// One worker's identity and shared-resource handles.
 pub struct WorkerCtx {
-    /// Stable worker index (`0..workers`); also the shard it serves.
+    /// Stable worker index (`0..workers`).
     pub index: usize,
     /// The shared response cache, if caching is enabled.
     pub cache: Option<Arc<ResponseCache>>,
@@ -120,16 +107,15 @@ pub struct WorkerCtx {
 pub fn run(
     queue: &BoundedQueue<ExplainJob>,
     registry: &ModelRegistry,
-    cfg: &BatcherConfig,
     ctx: &WorkerCtx,
 ) {
     let jobs_metric = format!("cfx_serve_worker_jobs_total:w{}", ctx.index);
     while let Some(first) = queue.pop_wait() {
         let mut batch = vec![(first, Instant::now())];
         let mut rows = batch[0].0.rows.len();
-        let flush_by = Instant::now() + cfg.linger;
+        let flush_by = Instant::now() + LINGER;
         let flush_by = flush_by.min(batch[0].0.deadline);
-        while rows < cfg.max_batch_rows {
+        while rows < MAX_BATCH_ROWS {
             match queue.pop_until(flush_by) {
                 Some(job) => {
                     rows += job.rows.len();
@@ -175,7 +161,6 @@ pub fn run(
                 cache.insert(
                     CacheKey::new(
                         &job.rows,
-                        job.fingerprint,
                         servable.version,
                         servable.explain_fingerprint(),
                     ),
@@ -275,37 +260,21 @@ fn provenance_tag(p: Provenance) -> String {
     }
 }
 
-/// Spawns a single worker (index 0, no cache) on its own thread — the
-/// PR-7 shape, kept for tests and embedders that drive one queue
-/// directly.
-pub fn spawn(
-    queue: Arc<BoundedQueue<ExplainJob>>,
-    registry: Arc<ModelRegistry>,
-    cfg: BatcherConfig,
-) -> std::thread::JoinHandle<()> {
-    spawn_pool(vec![queue], registry, cfg, None)
-        .pop()
-        .expect("one queue yields one worker")
-}
-
-/// Spawns one worker per queue. Worker `i` exclusively consumes
-/// `queues[i]`; the dispatcher must route jobs with
-/// [`crate::shard::shard`]`(fingerprint, queues.len())`.
+/// Spawns `workers` workers (at least one), all popping `queue`.
 pub fn spawn_pool(
-    queues: Vec<Arc<BoundedQueue<ExplainJob>>>,
+    queue: Arc<BoundedQueue<ExplainJob>>,
+    workers: usize,
     registry: Arc<ModelRegistry>,
-    cfg: BatcherConfig,
     cache: Option<Arc<ResponseCache>>,
 ) -> Vec<std::thread::JoinHandle<()>> {
-    queues
-        .into_iter()
-        .enumerate()
-        .map(|(index, queue)| {
+    (0..workers.max(1))
+        .map(|index| {
+            let queue = Arc::clone(&queue);
             let registry = Arc::clone(&registry);
             let ctx = WorkerCtx { index, cache: cache.clone() };
             std::thread::Builder::new()
                 .name(format!("cfx-serve-worker-{index}"))
-                .spawn(move || run(&queue, &registry, &cfg, &ctx))
+                .spawn(move || run(&queue, &registry, &ctx))
                 .expect("spawn explain worker thread")
         })
         .collect()

@@ -1,45 +1,40 @@
-//! Sharded, bounded LRU response cache keyed on encoded rows.
+//! Bounded LRU response cache keyed on encoded rows.
 //!
 //! FOCUS-style amortized explainers earn their keep because production
 //! traffic repeats: the same denied applicant retries, a dashboard
 //! re-renders the same cohort, load balancers replay health probes.
 //! This cache converts that repetition into sub-millisecond hits that
-//! never touch a worker queue.
+//! never touch the worker queue.
 //!
 //! **Key anatomy.** A cached body is only valid for the exact triple
 //! that produced it, so the key is:
 //!
 //! 1. the request rows' **f32 bit patterns** (full material, compared
-//!    byte-for-byte — a fingerprint collision can never serve a wrong
-//!    body; the fingerprint only selects the shard),
+//!    byte-for-byte, so no hash collision can ever serve a wrong body),
 //! 2. the **model version** (a hot-reloaded model must never serve a
 //!    predecessor's bytes), and
 //! 3. the **explain-config fingerprint** (seed + recovery budgets +
 //!    fallback-pool cap — anything that changes response bytes without
 //!    changing the weights).
 //!
-//! **Bounds & eviction.** `cap` bounds total entries (0 disables the
-//! cache entirely); entries spread over [`SHARDS`] lock shards by row
-//! fingerprint, and each shard evicts its least-recently-used entry on
-//! overflow. Eviction is an O(shard) scan — shards are small (cap /
-//! SHARDS) and eviction is off the hit path.
+//! **Bounds & eviction.** `cap` bounds the entries (0 disables the
+//! cache entirely). One lock guards the map, so the LRU order and the
+//! `cfx_serve_cache_entries` gauge are exact: an insert into a full
+//! cache evicts the least-recently-used entry. Eviction is an O(cap)
+//! scan, paid only on a miss, after an explain call that costs far
+//! more.
 //!
 //! **Invalidation.** The registry calls [`ResponseCache::invalidate_all`]
-//! the moment a hot swap lands: one pass over the shard locks, after
-//! which no pre-swap entry is observable. Because the version is also
-//! *in* the key, even a racing lookup between swap and purge cannot
-//! return a stale body for a new-version request.
+//! the moment a hot swap lands, after which no pre-swap entry is
+//! observable. Because the version is also *in* the key, even a racing
+//! lookup between swap and purge cannot return a stale body for a
+//! new-version request.
 //!
 //! Hit/miss/eviction/invalidation tallies are mirrored to the
 //! `cfx_serve_cache_*` metric families.
 
-use crate::shard::{fnv1a64, row_fingerprint};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Number of independently locked cache shards.
-pub const SHARDS: usize = 8;
 
 /// Full identity of a cached response (see module docs for anatomy).
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -50,22 +45,11 @@ pub struct CacheKey {
     version: u64,
     /// Fingerprint of the explain-side knobs.
     config: u64,
-    /// Row-content fingerprint (shard selector; not trusted for
-    /// equality).
-    fingerprint: u64,
 }
 
 impl CacheKey {
-    /// Builds the key for a request. `fingerprint` must be
-    /// [`row_fingerprint`]`(rows)` (callers already have it for
-    /// sharding; pass it through instead of re-hashing).
-    pub fn new(
-        rows: &[Vec<f32>],
-        fingerprint: u64,
-        version: u64,
-        config: u64,
-    ) -> Self {
-        debug_assert_eq!(fingerprint, row_fingerprint(rows));
+    /// Builds the key for a request.
+    pub fn new(rows: &[Vec<f32>], version: u64, config: u64) -> Self {
         CacheKey {
             rows: rows
                 .iter()
@@ -73,15 +57,7 @@ impl CacheKey {
                 .collect(),
             version,
             config,
-            fingerprint,
         }
-    }
-
-    fn shard(&self) -> usize {
-        // The low bits already picked the worker (`% workers`); use an
-        // independent mix for the cache shard so worker count and
-        // cache shard stay uncorrelated.
-        (fnv1a64(&self.fingerprint.to_le_bytes()) % SHARDS as u64) as usize
     }
 }
 
@@ -100,40 +76,32 @@ pub struct CacheStats {
 
 struct Entry {
     body: String,
-    /// Last-touch sequence number (global, monotone): the shard's
-    /// minimum is its LRU victim.
+    /// Last-touch sequence number: the minimum is the LRU victim.
     touched: u64,
 }
 
-/// The sharded, bounded LRU. Cheap to share behind an `Arc`; all
-/// methods take `&self`.
+/// Everything behind the cache's one lock.
+#[derive(Default)]
+struct Inner {
+    map: HashMap<CacheKey, Entry>,
+    /// Monotone touch counter feeding [`Entry::touched`].
+    seq: u64,
+    stats: CacheStats,
+}
+
+/// The bounded LRU. Cheap to share behind an `Arc`; all methods take
+/// `&self`.
 pub struct ResponseCache {
-    shards: Vec<Mutex<HashMap<CacheKey, Entry>>>,
-    /// Per-shard entry bound (`cap / SHARDS`, at least 1 when enabled).
-    shard_cap: usize,
-    /// Total-entry bound as configured; 0 disables every operation.
+    inner: Mutex<Inner>,
+    /// Entry bound as configured; 0 disables every operation.
     cap: usize,
-    seq: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
 }
 
 impl ResponseCache {
-    /// A cache bounded at `cap` total entries; `cap == 0` disables it
-    /// (every `get` misses without counting, every `insert` is a no-op).
+    /// A cache bounded at `cap` entries; `cap == 0` disables it (every
+    /// `get` misses without counting, every `insert` is a no-op).
     pub fn new(cap: usize) -> Self {
-        ResponseCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            shard_cap: cap.div_ceil(SHARDS).max(usize::from(cap > 0)),
-            cap,
-            seq: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-        }
+        ResponseCache { inner: Mutex::new(Inner::default()), cap }
     }
 
     /// Whether the cache participates at all (`cap > 0`).
@@ -141,9 +109,13 @@ impl ResponseCache {
         self.cap > 0
     }
 
-    /// Configured total-entry bound.
+    /// Configured entry bound.
     pub fn cap(&self) -> usize {
         self.cap
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        self.inner.lock().expect("cache lock poisoned")
     }
 
     /// Looks `key` up, refreshing its LRU position on a hit. Disabled
@@ -152,62 +124,55 @@ impl ResponseCache {
         if !self.enabled() {
             return None;
         }
-        let mut shard =
-            self.shards[key.shard()].lock().expect("shard lock poisoned");
-        match shard.get_mut(key) {
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        let body = match inner.map.get_mut(key) {
             Some(entry) => {
-                entry.touched = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-                let body = entry.body.clone();
-                drop(shard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                cfx_obs::metrics::counter("cfx_serve_cache_hits_total").inc(1);
-                Some(body)
+                inner.seq += 1;
+                entry.touched = inner.seq;
+                inner.stats.hits += 1;
+                Some(entry.body.clone())
             }
             None => {
-                drop(shard);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                cfx_obs::metrics::counter("cfx_serve_cache_misses_total")
-                    .inc(1);
+                inner.stats.misses += 1;
                 None
             }
-        }
+        };
+        drop(guard);
+        cfx_obs::metrics::counter(if body.is_some() {
+            "cfx_serve_cache_hits_total"
+        } else {
+            "cfx_serve_cache_misses_total"
+        })
+        .inc(1);
+        body
     }
 
-    /// Inserts (or refreshes) `key → body`, evicting the shard's LRU
-    /// entry if it is at its bound. No-op when disabled.
+    /// Inserts (or refreshes) `key → body`, evicting the least recently
+    /// used entry if the cache is full. No-op when disabled.
     pub fn insert(&self, key: CacheKey, body: String) {
         if !self.enabled() {
             return;
         }
-        let idx = key.shard();
-        let mut shard = self.shards[idx].lock().expect("shard lock poisoned");
-        let touched = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        if !shard.contains_key(&key) && shard.len() >= self.shard_cap {
-            if let Some(victim) = shard
+        let mut inner = self.lock();
+        inner.seq += 1;
+        let touched = inner.seq;
+        if !inner.map.contains_key(&key) && inner.map.len() >= self.cap {
+            let victim = inner
+                .map
                 .iter()
                 .min_by_key(|(_, e)| e.touched)
-                .map(|(k, _)| k.clone())
-            {
-                shard.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+                .map(|(k, _)| k.clone());
+            if let Some(victim) = victim {
+                inner.map.remove(&victim);
+                inner.stats.evictions += 1;
                 cfx_obs::metrics::counter("cfx_serve_cache_evictions_total")
                     .inc(1);
             }
         }
-        shard.insert(key, Entry { body, touched });
-        let len: usize = shard.len();
-        drop(shard);
-        // Gauge refresh is approximate across shards; exactness is
-        // not worth a global lock.
-        let others: usize = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != idx)
-            .map(|(_, s)| s.lock().expect("shard lock poisoned").len())
-            .sum();
+        inner.map.insert(key, Entry { body, touched });
         cfx_obs::metrics::gauge("cfx_serve_cache_entries")
-            .set((others + len) as f64);
+            .set(inner.map.len() as f64);
     }
 
     /// Purges every entry (model hot swap). Counted once per call.
@@ -215,32 +180,22 @@ impl ResponseCache {
         if !self.enabled() {
             return;
         }
-        for shard in &self.shards {
-            shard.lock().expect("shard lock poisoned").clear();
-        }
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
+        let mut inner = self.lock();
+        inner.map.clear();
+        inner.stats.invalidations += 1;
         cfx_obs::metrics::counter("cfx_serve_cache_invalidations_total")
             .inc(1);
         cfx_obs::metrics::gauge("cfx_serve_cache_entries").set(0.0);
     }
 
-    /// Current resident entry count (sums shard locks; for health and
-    /// tests, not the hot path).
+    /// Current resident entry count.
     pub fn entries(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard lock poisoned").len())
-            .sum()
+        self.lock().map.len()
     }
 
     /// Monotone tallies since construction.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-        }
+        self.lock().stats
     }
 }
 
@@ -249,7 +204,7 @@ mod tests {
     use super::*;
 
     fn key(rows: &[Vec<f32>], version: u64, config: u64) -> CacheKey {
-        CacheKey::new(rows, row_fingerprint(rows), version, config)
+        CacheKey::new(rows, version, config)
     }
 
     #[test]
@@ -279,37 +234,38 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_the_coldest_entry_per_shard() {
-        // cap 8 over 8 shards → every shard holds exactly one entry, so
-        // any two keys landing in the same shard exercise eviction.
+    fn lru_evicts_exactly_the_least_recently_used_entry() {
         let cache = ResponseCache::new(8);
-        let mut keys = Vec::new();
-        for i in 0..64 {
-            let rows = vec![vec![i as f32]];
-            let k = key(&rows, 0, 0);
-            cache.insert(k.clone(), format!("b{i}"));
-            keys.push(k);
+        let k = |i: usize| key(&[vec![i as f32]], 0, 0);
+        for i in 0..8 {
+            cache.insert(k(i), format!("b{i}"));
         }
-        assert!(cache.entries() <= 8, "bound violated: {}", cache.entries());
-        assert!(cache.stats().evictions >= 56);
-        // The most recent insert in some shard must still be resident.
-        let last = keys.last().unwrap();
-        assert_eq!(cache.get(last).as_deref(), Some("b63"));
+        assert_eq!(cache.entries(), 8, "a cache of 8 holds 8 entries");
+        assert_eq!(cache.stats().evictions, 0);
+        // Touch k0: k1 becomes the least recently used entry.
+        assert_eq!(cache.get(&k(0)).as_deref(), Some("b0"));
+        cache.insert(k(8), "b8".into());
+        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(cache.entries(), 8);
+        assert_eq!(cache.get(&k(1)), None, "k1 was the LRU victim");
+        for i in [0, 2, 3, 4, 5, 6, 7, 8] {
+            assert_eq!(cache.get(&k(i)), Some(format!("b{i}")), "k{i}");
+        }
     }
 
     #[test]
     fn touch_on_get_protects_hot_entries() {
-        let cache = ResponseCache::new(8); // one entry per shard
+        let cache = ResponseCache::new(8);
         let hot = key(&[vec![0.5f32]], 0, 0);
         cache.insert(hot.clone(), "hot".into());
-        // Keep touching the hot key while colliding inserts arrive; the
-        // insert that shares its shard evicts, but after each eviction
-        // re-inserting keeps working and the bound holds.
+        // Touch the hot key before every cold insert: the cold keys
+        // evict each other, never the hot one.
         for i in 0..32 {
-            let _ = cache.get(&hot);
+            assert_eq!(cache.get(&hot).as_deref(), Some("hot"), "round {i}");
             cache.insert(key(&[vec![10.0 + i as f32]], 0, 0), "cold".into());
         }
-        assert!(cache.entries() <= 8);
+        assert_eq!(cache.entries(), 8);
+        assert_eq!(cache.get(&hot).as_deref(), Some("hot"));
     }
 
     #[test]
@@ -318,7 +274,7 @@ mod tests {
         for i in 0..5 {
             cache.insert(key(&[vec![i as f32]], 0, 0), "x".into());
         }
-        assert!(cache.entries() > 0);
+        assert_eq!(cache.entries(), 5);
         cache.invalidate_all();
         assert_eq!(cache.entries(), 0);
         assert_eq!(cache.stats().invalidations, 1);

@@ -4,34 +4,25 @@
 //!
 //! PR 9 measured the failure mode (drifted worlds invalidate up to
 //! half the counterfactuals a model emits); this module notices it
-//! *live*. Every accepted `/explain` body's rows are folded into a
-//! lock-sharded accumulator ([`DriftMonitor`]) right after parsing —
+//! *live*. Every accepted `/explain` body's rows are folded into one
+//! accumulator behind one lock ([`DriftMonitor`]) right after parsing —
 //! before cache lookup, so hits and sheds still count as observed
-//! traffic. Scoring merges the shards **in index order** (float merge
-//! is order-sensitive only in rounding, so a fixed partition of the
-//! stream always scores identically, independent of worker count or
-//! arrival interleaving within a shard) and computes a population
-//! stability index per encoded column against [`ReferenceStats`]
-//! exported at checkpoint time (`serve.refstats`, written by
-//! `FeasibleCfModel::export_servable`) or recomputed from the boot
-//! dataset.
+//! traffic. Scoring computes a population stability index per encoded
+//! column against [`ReferenceStats`] exported at checkpoint time
+//! (`serve.refstats`, written by `FeasibleCfModel::export_servable`) or
+//! recomputed from the boot dataset. PSI reads only integer bin counts,
+//! so the same multiset of rows scores bit-identically in any arrival
+//! order, at any worker count.
 //!
 //! The monitor is a pure observer: it never touches response bytes,
 //! consumes no RNG state, and its accumulation cost is a handful of
-//! float ops per cell under a sharded lock.
+//! float ops per cell under the lock.
 
-use crate::shard::shard;
 use cfx_core::ReferenceStats;
 use cfx_obs::metrics::{gauge, gauge_labeled};
 use cfx_obs::sketch::{psi, FeatureStats};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Number of lock shards the accumulator splits into. Fixed (not the
-/// worker count) so the shard a row lands in — and therefore the
-/// rounding order inside each shard's accumulator — is a pure function
-/// of row content, never of server topology.
-pub const DRIFT_SHARDS: usize = 8;
 
 /// How many observed rows between gauge/threshold refreshes.
 pub const REFRESH_EVERY_ROWS: u64 = 64;
@@ -78,13 +69,10 @@ impl DriftScores {
     }
 }
 
-/// Lock-sharded streaming accumulator over live `/explain` rows.
+/// Streaming accumulator over live `/explain` rows.
 pub struct DriftMonitor {
-    /// [`DRIFT_SHARDS`] shards, each holding one [`FeatureStats`] per
-    /// encoded column. A request's rows all land in
-    /// `shard(fingerprint, DRIFT_SHARDS)`, so contention is spread
-    /// across requests while one request never splits across shards.
-    shards: Vec<Mutex<Vec<FeatureStats>>>,
+    /// One [`FeatureStats`] per encoded column.
+    stats: Mutex<Vec<FeatureStats>>,
     rows_observed: AtomicU64,
     /// Edge trigger for the threshold warning: `warn!` fires on the
     /// upward crossing, not on every refresh above the line.
@@ -96,9 +84,7 @@ impl DriftMonitor {
     /// A monitor for `width` encoded columns warning at `threshold`.
     pub fn new(width: usize, threshold: f64) -> Self {
         DriftMonitor {
-            shards: (0..DRIFT_SHARDS)
-                .map(|_| Mutex::new(vec![FeatureStats::default(); width]))
-                .collect(),
+            stats: Mutex::new(vec![FeatureStats::default(); width]),
             rows_observed: AtomicU64::new(0),
             over_threshold: AtomicBool::new(false),
             threshold,
@@ -130,11 +116,10 @@ impl DriftMonitor {
     /// Folds one request's rows in. Returns the new observed-row total
     /// (the caller refreshes scores when it crosses a
     /// [`REFRESH_EVERY_ROWS`] boundary).
-    pub fn observe(&self, rows: &[Vec<f32>], fingerprint: u64) -> u64 {
-        let idx = shard(fingerprint, self.shards.len());
+    pub fn observe(&self, rows: &[Vec<f32>]) -> u64 {
         {
             let mut stats =
-                self.shards[idx].lock().unwrap_or_else(|e| e.into_inner());
+                self.stats.lock().unwrap_or_else(|e| e.into_inner());
             for row in rows {
                 for (c, &v) in row.iter().enumerate() {
                     if let Some(s) = stats.get_mut(c) {
@@ -148,20 +133,9 @@ impl DriftMonitor {
             + rows.len() as u64
     }
 
-    /// Merges every shard **in index order** into one per-column view.
-    pub fn merged(&self) -> Vec<FeatureStats> {
-        let width = self.shards[0]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .len();
-        let mut out = vec![FeatureStats::default(); width];
-        for shard_stats in &self.shards {
-            let stats = shard_stats.lock().unwrap_or_else(|e| e.into_inner());
-            for (o, s) in out.iter_mut().zip(stats.iter()) {
-                o.merge(s);
-            }
-        }
-        out
+    /// A copy of the per-column statistics.
+    pub fn snapshot(&self) -> Vec<FeatureStats> {
+        self.stats.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
     /// Scores the live accumulator against `reference`: PSI per column
@@ -169,13 +143,13 @@ impl DriftMonitor {
     /// accumulator scores 0 everywhere (no traffic is not drift).
     pub fn scores(&self, reference: &ReferenceStats) -> DriftScores {
         let rows = self.rows_observed();
-        let merged = self.merged();
-        let width = merged.len().min(reference.width());
-        let mut per_feature = vec![0.0f64; merged.len()];
+        let live = self.snapshot();
+        let width = live.len().min(reference.width());
+        let mut per_feature = vec![0.0f64; live.len()];
         if rows > 0 {
             for c in 0..width {
                 per_feature[c] =
-                    psi(&reference.bins[c], &merged[c].sketch.proportions());
+                    psi(&reference.bins[c], &live[c].sketch.proportions());
             }
         }
         let overall = if per_feature.is_empty() {
@@ -234,7 +208,7 @@ pub fn healthz_json(
 ) -> String {
     use std::fmt::Write as _;
     let scores = monitor.refresh(reference);
-    let merged = monitor.merged();
+    let live = monitor.snapshot();
     let mut out = String::with_capacity(128);
     let _ = write!(
         out,
@@ -249,7 +223,7 @@ pub fn healthz_json(
         if i > 0 {
             out.push(',');
         }
-        let live_mean = merged.get(c).map(|m| m.moments.mean()).unwrap_or(0.0);
+        let live_mean = live.get(c).map(|m| m.moments.mean()).unwrap_or(0.0);
         let ref_mean = reference.means.get(c).copied().unwrap_or(0.0) as f64;
         let _ = write!(
             out,
@@ -286,15 +260,15 @@ mod tests {
         // Clean: rows matching the uniform reference.
         for i in 0..256u64 {
             let v = (i % BINS as u64) as f32 / BINS as f32 + 0.01;
-            monitor.observe(&[vec![v; width]], i);
+            monitor.observe(&[vec![v; width]]);
         }
         let clean = monitor.scores(&reference);
         assert!(clean.overall < 0.1, "clean overall {}", clean.overall);
 
         // Drifted: all mass piled into one bin.
         let drifted = DriftMonitor::new(width, 0.25);
-        for i in 0..256u64 {
-            drifted.observe(&[vec![0.97; width]], i);
+        for _ in 0..256 {
+            drifted.observe(&[vec![0.97; width]]);
         }
         let hot = drifted.scores(&reference);
         assert!(hot.overall > 0.25, "drifted overall {}", hot.overall);
@@ -316,7 +290,7 @@ mod tests {
             let mut row =
                 vec![(i % BINS as u64) as f32 / BINS as f32 + 0.01; width];
             row[0] = 0.97; // all of column 0's mass in one bin
-            monitor.observe(&[row], i);
+            monitor.observe(&[row]);
         }
         let scores = monitor.scores(&reference);
         assert!(
@@ -336,34 +310,28 @@ mod tests {
 
     #[test]
     fn scores_are_observation_order_invariant() {
-        // Same multiset of (fingerprint, row) observations in two
-        // different arrival orders must score identically: rows shard
-        // by content, and shards merge in index order.
+        // The same multiset of rows in two different arrival orders
+        // must score bit-identically: PSI reads only the integer bin
+        // counts, which do not depend on the fold order.
         let width = 3;
         let reference = reference_uniform(width);
-        let obs: Vec<(u64, Vec<f32>)> = (0..200u64)
-            .map(|i| (i * 7919, vec![(i % 17) as f32 / 17.0; width]))
+        let rows: Vec<Vec<f32>> = (0..200u64)
+            .map(|i| vec![(i % 17) as f32 / 17.0; width])
             .collect();
         let a = DriftMonitor::new(width, 0.25);
-        for (fp, row) in &obs {
-            a.observe(std::slice::from_ref(row), *fp);
+        for row in &rows {
+            a.observe(std::slice::from_ref(row));
         }
         let b = DriftMonitor::new(width, 0.25);
-        for (fp, row) in obs.iter().rev() {
-            b.observe(std::slice::from_ref(row), *fp);
+        for row in rows.iter().rev() {
+            b.observe(std::slice::from_ref(row));
         }
-        // Within a shard the fold order differs (reversed), but every
-        // shard holds the same multiset; Welford merge in index order
-        // makes the scores identical up to that shard-local rounding.
-        let sa = a.scores(&reference);
-        let sb = b.scores(&reference);
-        for (x, y) in sa.per_feature.iter().zip(sb.per_feature.iter()) {
-            assert!((x - y).abs() < 1e-12, "{x} vs {y}");
-        }
-        // Bin counts are integers: exactly equal regardless of order.
-        let ma = a.merged();
-        let mb = b.merged();
-        for (x, y) in ma.iter().zip(mb.iter()) {
+        let bits = |m: &DriftMonitor| -> Vec<u64> {
+            let scores = m.scores(&reference);
+            scores.per_feature.iter().map(|s| s.to_bits()).collect()
+        };
+        assert_eq!(bits(&a), bits(&b));
+        for (x, y) in a.snapshot().iter().zip(b.snapshot().iter()) {
             assert_eq!(x.sketch, y.sketch);
         }
     }

@@ -156,19 +156,19 @@ mod tests {
     #[test]
     fn specs_parse() {
         assert_eq!(
-            ServeFault::parse("slow-client").unwrap(),
+            ServeFault::parse("slow-client").expect("valid fault spec"),
             ServeFault::SlowClient { period: DEFAULT_PERIOD }
         );
         assert_eq!(
-            ServeFault::parse("slow-client@3").unwrap(),
+            ServeFault::parse("slow-client@3").expect("valid fault spec"),
             ServeFault::SlowClient { period: 3 }
         );
         assert_eq!(
-            ServeFault::parse("malformed@2").unwrap(),
+            ServeFault::parse("malformed@2").expect("valid fault spec"),
             ServeFault::Malformed { period: 2 }
         );
         assert_eq!(
-            ServeFault::parse("kill@10").unwrap(),
+            ServeFault::parse("kill@10").expect("valid fault spec"),
             ServeFault::Kill { after: 10 }
         );
     }

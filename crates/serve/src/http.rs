@@ -315,7 +315,9 @@ mod tests {
     use super::*;
 
     fn parse_ok(raw: &[u8]) -> (Request, usize) {
-        match parse_request(raw, &Limits::default()).unwrap() {
+        match parse_request(raw, &Limits::default())
+            .expect("well-formed request parses")
+        {
             Parse::Done(r, n) => (r, n),
             Parse::Partial => panic!("unexpected partial"),
         }
@@ -352,20 +354,20 @@ mod tests {
     fn typed_errors_for_malformed_input() {
         let l = Limits::default();
         assert_eq!(
-            parse_request(b"nonsense\r\n\r\n", &l).unwrap_err().status(),
+            parse_request(b"nonsense\r\n\r\n", &l).expect_err("malformed input is a typed error").status(),
             400
         );
         assert_eq!(
-            parse_request(b"PUT /x HTTP/1.1\r\n\r\n", &l).unwrap_err().status(),
+            parse_request(b"PUT /x HTTP/1.1\r\n\r\n", &l).expect_err("malformed input is a typed error").status(),
             405
         );
         assert_eq!(
-            parse_request(b"GET /x HTTP/2\r\n\r\n", &l).unwrap_err().status(),
+            parse_request(b"GET /x HTTP/2\r\n\r\n", &l).expect_err("malformed input is a typed error").status(),
             505
         );
         assert_eq!(
             parse_request(b"GET /x HTTP/1.1\r\nbad header\r\n\r\n", &l)
-                .unwrap_err()
+                .expect_err("malformed input is a typed error")
                 .status(),
             400
         );
@@ -374,7 +376,7 @@ mod tests {
                 b"POST /x HTTP/1.1\r\nContent-Length: banana\r\n\r\n",
                 &l
             )
-            .unwrap_err()
+            .expect_err("malformed input is a typed error")
             .status(),
             400
         );
@@ -404,7 +406,7 @@ mod tests {
             b"{}",
             false,
         );
-        let s = String::from_utf8(out).unwrap();
+        let s = String::from_utf8(out).expect("rendered response is UTF-8");
         assert!(s.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(s.contains("Content-Length: 2\r\n"));
         assert!(s.contains("Retry-After: 1\r\n"));

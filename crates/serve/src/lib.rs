@@ -6,17 +6,17 @@
 //! that something: a zero-dependency HTTP/1.1 daemon built on
 //! `std::net`, with the robustness contract stated up front:
 //!
-//! * **Bounded everything.** Fixed-capacity request queues sit between
-//!   connection threads and the explain worker pool; when a shard
+//! * **Bounded everything.** One fixed-capacity request queue sits
+//!   between connection threads and the explain worker pool; when it
 //!   fills, requests are shed with `429` + a backlog-scaled
 //!   `Retry-After` instead of buffered. Memory use is independent of
 //!   offered load.
 //! * **Horizontal scaling within a node.** `CFX_SERVE_WORKERS=N`
-//!   (or `cfx serve --workers N`) runs N explain workers; jobs are
-//!   routed worker-sticky by a deterministic content hash
-//!   ([`shard`]), so scaling never changes response bytes. A sharded
-//!   LRU response cache ([`cache`]) answers repeated rows without
-//!   touching a queue.
+//!   (or `cfx serve --workers N`) runs N explain workers, all popping
+//!   that one queue. A job's resampling stream comes from a content
+//!   hash of its rows ([`row_fingerprint`]), never from its worker, so
+//!   scaling never changes response bytes. An LRU response cache
+//!   ([`cache`]) answers repeated rows without touching the queue.
 //! * **Deadlines end-to-end.** Every request carries a deadline
 //!   (client-supplied or defaulted) that is enforced in the queue, in
 //!   the micro-batcher, and inside `explain_batch` itself via
@@ -44,11 +44,9 @@ pub mod http;
 pub mod queue;
 pub mod registry;
 pub mod server;
-pub mod shard;
+mod shard;
 
-pub use batcher::{
-    BatcherConfig, ExplainJob, JobReply, WorkerCtx, WorkerTimings,
-};
+pub use batcher::{ExplainJob, JobReply, WorkerCtx, WorkerTimings};
 pub use cache::{CacheKey, CacheStats, ResponseCache};
 pub use drift::{DriftMonitor, DriftScores};
 pub use fault::{FaultClock, ServeFault};
@@ -59,4 +57,4 @@ pub use server::{
     install_signal_handlers, report_serve, spawn, DrainReport, LatencySummary,
     ServeConfig, ServerHandle,
 };
-pub use shard::{fnv1a64, row_fingerprint, shard};
+pub use shard::{fnv1a64, row_fingerprint};

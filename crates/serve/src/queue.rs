@@ -1,4 +1,5 @@
-//! A bounded MPSC work queue with explicit load shedding.
+//! A bounded multi-producer, multi-consumer work queue with explicit
+//! load shedding.
 //!
 //! The cap is enforced at push time: a full queue rejects the item and
 //! hands it back ([`PushError::Full`]), so admission control happens at
@@ -26,7 +27,8 @@ struct Inner<T> {
     closed: bool,
 }
 
-/// Fixed-capacity FIFO connecting connection threads to the batcher.
+/// Fixed-capacity FIFO connecting connection threads to the explain
+/// workers, all of which pop from it.
 pub struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
     nonempty: Condvar,
@@ -56,11 +58,6 @@ impl<T> BoundedQueue<T> {
     /// Whether the queue is currently empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().expect("queue lock poisoned").closed
     }
 
     /// Non-blocking push; a full or closed queue refuses and returns the
@@ -138,8 +135,8 @@ mod tests {
     #[test]
     fn push_pop_fifo_and_shed_at_cap() {
         let q = BoundedQueue::new(2);
-        assert_eq!(q.try_push(1).unwrap(), 1);
-        assert_eq!(q.try_push(2).unwrap(), 2);
+        assert_eq!(q.try_push(1).expect("room for a first item"), 1);
+        assert_eq!(q.try_push(2).expect("room up to the cap"), 2);
         match q.try_push(3) {
             Err(PushError::Full(3)) => {}
             other => panic!("{other:?}"),
@@ -151,7 +148,7 @@ mod tests {
     #[test]
     fn close_drains_then_signals_exit() {
         let q = BoundedQueue::new(4);
-        q.try_push(7).unwrap();
+        q.try_push(7).expect("an open queue with room admits");
         q.close();
         match q.try_push(8) {
             Err(PushError::Closed(8)) => {}
@@ -177,6 +174,6 @@ mod tests {
         let h = std::thread::spawn(move || q2.pop_wait());
         std::thread::sleep(Duration::from_millis(30));
         q.close();
-        assert_eq!(h.join().unwrap(), None);
+        assert_eq!(h.join().expect("consumer thread exits cleanly"), None);
     }
 }

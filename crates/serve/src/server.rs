@@ -5,16 +5,16 @@
 //! observe the shutdown flag), one thread per accepted connection
 //! (connections beyond `max_conns` are answered `429` and closed —
 //! shed, not buffered), and a pool of `workers` explain threads that
-//! own all model compute. Each worker consumes its own bounded queue;
-//! admission routes a request to `shard(row_fingerprint, workers)` so
-//! a given row always lands on the same worker (see [`crate::shard`]
-//! for why that keeps responses byte-identical at every worker count).
-//! A sharded LRU response cache ([`crate::cache`]) sits in front of
-//! the pool and answers repeats without queueing. Connection threads
-//! only parse, validate, enqueue and wait; the bounded queues between
-//! them and the pool are the backpressure point, so memory use is
-//! bounded by `max_conns * max_body + queue_cap * rows + cache_cap *
-//! body` no matter the offered load.
+//! own all model compute. Every worker pops the one bounded admission
+//! queue; a job's resampling stream comes from its row fingerprint,
+//! not its worker (see [`crate::batcher`]), so responses are
+//! byte-identical at every worker count. An LRU response cache
+//! ([`crate::cache`]) sits in front of the pool and answers repeats
+//! without queueing. Connection threads only parse, validate, enqueue
+//! and wait; the bounded queue between them and the pool is the
+//! backpressure point, so memory use is bounded by `max_conns *
+//! max_body + queue_cap * rows + cache_cap * body` no matter the
+//! offered load.
 //!
 //! Drain (SIGTERM/SIGINT or [`ServerHandle::shutdown`]): the accept
 //! loop stops and the listener closes (the port is released
@@ -25,14 +25,14 @@
 //! Prometheus snapshot is written, and the caller gets a
 //! [`DrainReport`]. Nothing accepted is ever dropped.
 
-use crate::batcher::{self, BatcherConfig, ExplainJob};
+use crate::batcher::{self, ExplainJob};
 use crate::cache::{CacheKey, ResponseCache};
 use crate::drift::{self, DriftMonitor, REFRESH_EVERY_ROWS};
 use crate::fault::{FaultClock, ServeFault};
 use crate::http::{self, Limits, Method, Parse, Request};
 use crate::queue::{BoundedQueue, PushError};
 use crate::registry::{ModelRegistry, Servable};
-use crate::shard;
+use crate::shard::row_fingerprint;
 use cfx_obs::FieldValue;
 use cfx_tensor::CfxError;
 use std::io::{ErrorKind, Read, Write};
@@ -44,18 +44,19 @@ use std::time::{Duration, Instant};
 
 /// Daemon configuration. Defaults are sized for a single-host CI run;
 /// the `cfx serve` subcommand exposes the load-bearing knobs as flags.
+/// The limits no caller tunes are constants: [`MAX_DEADLINE_MS`],
+/// [`READ_TIMEOUT`], [`WRITE_TIMEOUT`], [`RETRY_AFTER_MS`],
+/// [`MAX_ROWS_PER_REQUEST`], [`Limits::default`] and the batcher's
+/// [`batcher::MAX_BATCH_ROWS`] and [`batcher::LINGER`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7878` (port 0 picks a free port).
     pub addr: String,
-    /// Explain worker count. Jobs are routed worker-sticky by a
-    /// deterministic content hash of the request rows
-    /// (`shard = fnv1a(row_bits) % workers`), so responses are
-    /// byte-identical at every worker count. Defaults to
-    /// `CFX_SERVE_WORKERS` (else 1).
+    /// Explain worker count; every worker pops the one admission
+    /// queue. Responses are byte-identical at every worker count.
+    /// Defaults to `CFX_SERVE_WORKERS` (else 1).
     pub workers: usize,
-    /// Bounded request-queue capacity (the backpressure point), split
-    /// evenly across the per-worker queues.
+    /// Bounded request-queue capacity (the backpressure point).
     pub queue_cap: usize,
     /// Response-cache bound in entries, keyed on encoded row bits +
     /// model version + explain-config fingerprint; 0 disables caching.
@@ -63,24 +64,8 @@ pub struct ServeConfig {
     pub cache_cap: usize,
     /// Max concurrent connections before shedding at accept.
     pub max_conns: usize,
-    /// Micro-batcher row budget per flush.
-    pub max_batch_rows: usize,
-    /// Micro-batcher linger in milliseconds.
-    pub linger_ms: u64,
     /// Deadline applied when a request does not name one.
     pub default_deadline_ms: u64,
-    /// Cap on client-requested deadlines.
-    pub max_deadline_ms: u64,
-    /// Socket read timeout (also bounds idle keep-alive during drain).
-    pub read_timeout_ms: u64,
-    /// Socket write timeout (slow readers cannot wedge a thread).
-    pub write_timeout_ms: u64,
-    /// `Retry-After` hint (milliseconds) attached to shed responses.
-    pub retry_after_ms: u64,
-    /// Max rows per `/explain` request.
-    pub max_rows_per_request: usize,
-    /// HTTP head/body size limits.
-    pub limits: Limits,
     /// Directory watched for hot-loadable model checkpoints.
     pub model_dir: Option<PathBuf>,
     /// Final Prometheus snapshot written at drain.
@@ -93,6 +78,17 @@ pub struct ServeConfig {
     /// either way — response bytes are identical on or off.
     pub drift_enabled: bool,
 }
+
+/// Cap on client-requested deadlines.
+pub const MAX_DEADLINE_MS: u64 = 30_000;
+/// Socket read timeout (also bounds idle keep-alive during drain).
+pub const READ_TIMEOUT: Duration = Duration::from_millis(2_000);
+/// Socket write timeout (slow readers cannot wedge a thread).
+pub const WRITE_TIMEOUT: Duration = Duration::from_millis(2_000);
+/// Base `Retry-After` hint (milliseconds) attached to shed responses.
+pub const RETRY_AFTER_MS: u64 = 50;
+/// Max rows per `/explain` request.
+pub const MAX_ROWS_PER_REQUEST: usize = 256;
 
 /// Reads a `usize` knob from the environment, falling back to
 /// `default` on absence or garbage (a bad value must not abort library
@@ -112,15 +108,7 @@ impl Default for ServeConfig {
             queue_cap: 64,
             cache_cap: env_usize("CFX_SERVE_CACHE_CAP", 1024),
             max_conns: 128,
-            max_batch_rows: 256,
-            linger_ms: 2,
             default_deadline_ms: 2_000,
-            max_deadline_ms: 30_000,
-            read_timeout_ms: 2_000,
-            write_timeout_ms: 2_000,
-            retry_after_ms: 50,
-            max_rows_per_request: 256,
-            limits: Limits::default(),
             model_dir: None,
             prom_out: None,
             drift_warn: 0.25,
@@ -244,10 +232,10 @@ struct StageSample {
 }
 
 struct Shared {
+    /// The configuration, with `workers` at least 1.
     cfg: ServeConfig,
-    /// One bounded queue per worker; jobs are routed by
-    /// [`shard::shard`]`(fingerprint, queues.len())` at admission.
-    queues: Vec<Arc<BoundedQueue<ExplainJob>>>,
+    /// The admission queue every worker pops.
+    queue: Arc<BoundedQueue<ExplainJob>>,
     cache: Arc<ResponseCache>,
     registry: Arc<ModelRegistry>,
     shutdown: Arc<AtomicBool>,
@@ -269,25 +257,15 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Total backlog across every worker queue.
-    fn queue_depth(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
-    }
-
-    /// Total admission capacity across every worker queue.
-    fn queue_cap(&self) -> usize {
-        self.queues.iter().map(|q| q.cap()).sum()
-    }
-
-    /// Live `Retry-After` hint for shed (429) responses: the configured
-    /// base scaled by the backlog each worker must chew through first.
-    /// An empty pool hints the base; a pool `k` jobs deep per worker
-    /// hints `(k + 1) * base`, so clients back off proportionally to
-    /// the work ahead of them instead of hammering a constant cadence.
+    /// Live `Retry-After` hint for shed (429) responses: the base
+    /// [`RETRY_AFTER_MS`] scaled by the backlog each worker must chew
+    /// through first. An empty queue hints the base; a queue `k` jobs
+    /// deep per worker hints `(k + 1) * base`, so clients back off
+    /// proportionally to the work ahead of them instead of hammering a
+    /// constant cadence.
     fn shed_retry_after_ms(&self) -> u64 {
-        let per_worker =
-            (self.queue_depth() / self.queues.len().max(1)) as u64;
-        self.cfg.retry_after_ms.saturating_mul(per_worker + 1)
+        let per_worker = (self.queue.len() / self.cfg.workers) as u64;
+        RETRY_AFTER_MS.saturating_mul(per_worker + 1)
     }
 }
 
@@ -319,7 +297,7 @@ impl ServerHandle {
 /// Pre-registers every serve metric so scrapes (and the final drain
 /// snapshot) carry the full family even before traffic arrives.
 /// Per-worker job counters (`cfx_serve_worker_jobs_total:wN`) are
-/// registered for each of the `workers` shards.
+/// registered for each of the `workers` workers.
 fn register_metrics(workers: usize) {
     use cfx_obs::metrics::{counter, gauge};
     counter("cfx_serve_requests_total").inc(0);
@@ -386,7 +364,7 @@ pub fn install_signal_handlers(flag: &Arc<AtomicBool>) {
 /// wired to the same flag via [`install_signal_handlers`]) triggers
 /// the drain.
 pub fn spawn(
-    cfg: ServeConfig,
+    mut cfg: ServeConfig,
     boot: Servable,
     shutdown: Arc<AtomicBool>,
 ) -> Result<ServerHandle, CfxError> {
@@ -399,16 +377,10 @@ pub fn spawn(
     listener
         .set_nonblocking(true)
         .map_err(|e| CfxError::io(format!("set_nonblocking: {e}")))?;
-    let workers = cfg.workers.max(1);
-    register_metrics(workers);
-    // Split the admission budget evenly: total capacity (and therefore
-    // the memory bound) stays at queue_cap regardless of worker count.
-    let per_queue_cap = cfg.queue_cap.div_ceil(workers).max(1);
-    let queues: Vec<Arc<BoundedQueue<ExplainJob>>> = (0..workers)
-        .map(|_| Arc::new(BoundedQueue::new(per_queue_cap)))
-        .collect();
-    cfx_obs::metrics::gauge("cfx_serve_queue_cap")
-        .set(queues.iter().map(|q| q.cap()).sum::<usize>() as f64);
+    cfg.workers = cfg.workers.max(1);
+    register_metrics(cfg.workers);
+    let queue = Arc::new(BoundedQueue::new(cfg.queue_cap));
+    cfx_obs::metrics::gauge("cfx_serve_queue_cap").set(queue.cap() as f64);
     let cache = Arc::new(ResponseCache::new(cfg.cache_cap));
     // The monitor needs the encoded width before `boot` moves into the
     // registry; the reference moments themselves live in the registry
@@ -421,7 +393,7 @@ pub fn spawn(
         registry.attach_cache(Arc::clone(&cache));
     }
     let shared = Arc::new(Shared {
-        queues,
+        queue,
         cache,
         registry,
         shutdown: Arc::clone(&shutdown),
@@ -450,17 +422,14 @@ fn run(listener: TcpListener, shared: Arc<Shared>) -> DrainReport {
             .local_addr()
             .map(|a| a.to_string())
             .unwrap_or_default(),
-        queue_cap = shared.cfg.queue_cap,
-        workers = shared.queues.len(),
+        queue_cap = shared.queue.cap(),
+        workers = shared.cfg.workers,
         cache_cap = shared.cache.cap(),
     );
     let workers = batcher::spawn_pool(
-        shared.queues.clone(),
+        Arc::clone(&shared.queue),
+        shared.cfg.workers,
         Arc::clone(&shared.registry),
-        BatcherConfig {
-            max_batch_rows: shared.cfg.max_batch_rows,
-            linger: Duration::from_millis(shared.cfg.linger_ms),
-        },
         shared.cache.enabled().then(|| Arc::clone(&shared.cache)),
     );
 
@@ -526,15 +495,13 @@ fn run(listener: TcpListener, shared: Arc<Shared>) -> DrainReport {
     for t in conn_threads {
         let _ = t.join();
     }
-    // Every producer is done: close every queue, then each worker exits
-    // once it has answered everything that was admitted to its shard.
-    for q in &shared.queues {
-        q.close();
-    }
+    // Every producer is done: close the queue, then the workers exit
+    // once they have answered everything that was admitted.
+    shared.queue.close();
     for w in workers {
         let _ = w.join();
     }
-    // The workers are gone and the queues are empty; settle the
+    // The workers are gone and the queue is empty; settle the
     // gauge so the drain snapshot reports the true (zero) backlog.
     cfx_obs::metrics::gauge("cfx_serve_queue_depth").set(0.0);
     // Score the final traffic tally so the drain snapshot's drift
@@ -621,9 +588,7 @@ fn shed_connection(shared: &Shared, mut stream: TcpStream) {
     let retry = retry_after_header(retry_ms);
     let resp =
         http::render_response(429, "application/json", &[retry], body.as_bytes(), false);
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(
-        shared.cfg.write_timeout_ms,
-    )));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = stream.write_all(&resp);
 }
 
@@ -669,10 +634,8 @@ fn map_cfx_error(e: &CfxError) -> (u16, &'static str, Option<u64>) {
 /// One accepted connection: read → parse → route → respond, keep-alive
 /// until the client closes, a timeout fires, or the drain begins.
 fn handle_connection(shared: &Shared, mut stream: TcpStream, conn_index: u64) {
-    let read_timeout = Duration::from_millis(shared.cfg.read_timeout_ms);
-    let write_timeout = Duration::from_millis(shared.cfg.write_timeout_ms);
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    let _ = stream.set_write_timeout(Some(write_timeout));
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = stream.set_nodelay(true);
 
     // Deadlines for the first request anchor at accept time, *before*
@@ -680,17 +643,18 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, conn_index: u64) {
     // own budget, so the timeout path fires deterministically.
     let mut anchor = Instant::now();
     if shared.clock.stalls(shared.fault, conn_index) {
-        std::thread::sleep(read_timeout);
+        std::thread::sleep(READ_TIMEOUT);
     }
     let corrupt = shared.clock.corrupts(shared.fault, conn_index);
     let mut corrupted_once = false;
 
+    let limits = Limits::default();
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
     loop {
         // Parse whatever is already buffered before reading more — a
         // pipelined follow-up request may be complete already.
-        match http::parse_request(&buf, &shared.cfg.limits) {
+        match http::parse_request(&buf, &limits) {
             Ok(Parse::Done(req, consumed)) => {
                 buf.drain(..consumed);
                 let keep = req.keep_alive() && !shared.draining();
@@ -787,9 +751,9 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, conn_index: u64) {
                 let body = error_body(
                     "timeout",
                     "request head/body not received within the read timeout",
-                    Some(shared.cfg.retry_after_ms),
+                    Some(RETRY_AFTER_MS),
                 );
-                let retry = retry_after_header(shared.cfg.retry_after_ms);
+                let retry = retry_after_header(RETRY_AFTER_MS);
                 let resp = http::render_response(
                     408,
                     "application/json",
@@ -839,7 +803,7 @@ fn respond(
 
 fn handle_healthz(shared: &Shared, keep_alive: bool) -> Vec<u8> {
     let snapshot = shared.registry.current();
-    let depth = shared.queue_depth();
+    let depth = shared.queue.len();
     let mut body = String::with_capacity(192);
     body.push_str(if shared.draining() {
         "{\"status\":\"draining\""
@@ -851,8 +815,8 @@ fn handle_healthz(shared: &Shared, keep_alive: bool) -> Vec<u8> {
         &mut body,
         format_args!(
             ",\"workers\":{},\"queue_depth\":{depth},\"queue_cap\":{},\"cache_entries\":{},\"cache_hits\":{},\"cache_misses\":{},\"width\":{},\"model_version\":{},\"model_source\":",
-            shared.queues.len(),
-            shared.queue_cap(),
+            shared.cfg.workers,
+            shared.queue.cap(),
             shared.cache.entries(),
             cache_stats.hits,
             cache_stats.misses,
@@ -894,7 +858,6 @@ struct ExplainRequest {
 fn parse_explain_body(
     body: &[u8],
     width: usize,
-    max_rows: usize,
 ) -> Result<ExplainRequest, String> {
     let text =
         std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
@@ -909,9 +872,9 @@ fn parse_explain_body(
     if raw_rows.is_empty() {
         return Err("\"rows\" must not be empty".into());
     }
-    if raw_rows.len() > max_rows {
+    if raw_rows.len() > MAX_ROWS_PER_REQUEST {
         return Err(format!(
-            "too many rows: {} > per-request cap {max_rows}",
+            "too many rows: {} > per-request cap {MAX_ROWS_PER_REQUEST}",
             raw_rows.len()
         ));
     }
@@ -1092,11 +1055,7 @@ fn explain_inner(
     let snapshot = shared.registry.current();
     let width = snapshot.data.width();
     let parse_timer = Instant::now();
-    let parsed = match parse_explain_body(
-        &req.body,
-        width,
-        shared.cfg.max_rows_per_request,
-    ) {
+    let parsed = match parse_explain_body(&req.body, width) {
         Ok(p) => {
             obs.parse_ns = parse_timer.elapsed().as_nanos() as u64;
             p
@@ -1121,13 +1080,8 @@ fn explain_inner(
     let deadline_ms = parsed
         .deadline_ms
         .unwrap_or(shared.cfg.default_deadline_ms)
-        .min(shared.cfg.max_deadline_ms);
+        .min(MAX_DEADLINE_MS);
     let deadline = anchor + Duration::from_millis(deadline_ms);
-
-    // One content hash serves four masters: the shard selector (which
-    // worker), the recovery RNG stream (worker-count-invariant bytes),
-    // the cache-key routing hash, and the drift-accumulator shard.
-    let fingerprint = shard::row_fingerprint(&parsed.rows);
 
     // Fold the rows into the drift accumulator before cache lookup and
     // admission: hits and sheds are still traffic the model is being
@@ -1135,7 +1089,7 @@ fn explain_inner(
     // total crosses a cadence boundary (exactly one caller observes
     // each crossing, since `observe` returns post-add totals).
     if let Some(monitor) = &shared.drift {
-        let total = monitor.observe(&parsed.rows, fingerprint);
+        let total = monitor.observe(&parsed.rows);
         let before = total - parsed.rows.len() as u64;
         if total / REFRESH_EVERY_ROWS > before / REFRESH_EVERY_ROWS {
             monitor.refresh(&shared.registry.ref_stats());
@@ -1147,7 +1101,6 @@ fn explain_inner(
         let lookup_timer = Instant::now();
         let key = CacheKey::new(
             &parsed.rows,
-            fingerprint,
             snapshot.version,
             snapshot.explain_fingerprint(),
         );
@@ -1177,19 +1130,19 @@ fn explain_inner(
 
     let (reply_tx, reply_rx) = mpsc::channel();
     let job = ExplainJob {
+        // The recovery RNG stream: a function of the rows alone, so
+        // the bytes are the same whichever worker pops the job.
+        fingerprint: row_fingerprint(&parsed.rows),
         rows: parsed.rows,
-        fingerprint,
         deadline,
         deadline_ms,
         admitted_at: Instant::now(),
         trace: cfx_obs::current_trace(),
         reply: reply_tx,
     };
-    let worker = shard::shard(fingerprint, shared.queues.len());
-    match shared.queues[worker].try_push(job) {
-        Ok(_depth) => {
-            cfx_obs::metrics::gauge("cfx_serve_queue_depth")
-                .set(shared.queue_depth() as f64);
+    match shared.queue.try_push(job) {
+        Ok(depth) => {
+            cfx_obs::metrics::gauge("cfx_serve_queue_depth").set(depth as f64);
         }
         Err(PushError::Full(_)) => {
             obs.outcome = "shed_429";
@@ -1215,10 +1168,10 @@ fn explain_inner(
             let body = error_body(
                 "draining",
                 "server is draining and no longer admits work",
-                Some(shared.cfg.retry_after_ms),
+                Some(RETRY_AFTER_MS),
             );
             let mut hdrs = extra.to_vec();
-            hdrs.push(retry_after_header(shared.cfg.retry_after_ms));
+            hdrs.push(retry_after_header(RETRY_AFTER_MS));
             return http::render_response(
                 503,
                 "application/json",
@@ -1233,7 +1186,7 @@ fn explain_inner(
     // misses included), so this wait only needs a backstop well past
     // the request deadline to survive a batcher panic.
     let backstop = Duration::from_millis(deadline_ms)
-        + Duration::from_millis(shared.cfg.linger_ms)
+        + batcher::LINGER
         + Duration::from_secs(30);
     match reply_rx.recv_timeout(backstop) {
         Ok(reply) => {

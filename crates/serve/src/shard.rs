@@ -1,28 +1,17 @@
-//! Deterministic job→worker sharding.
+//! Row fingerprints: a stable content hash of a request's encoded rows.
 //!
-//! The worker pool routes every `/explain` job by a content hash of its
-//! encoded rows: `shard = fnv1a64(row_bits) % workers`. Three properties
-//! hang off that one line, and each is load-bearing:
+//! [`row_fingerprint`] seeds the recovery-resampling RNG stream of each
+//! `/explain` job (see [`crate::batcher`]). The stream depends on the
+//! rows alone, never on which worker pops the job, so changing
+//! `CFX_SERVE_WORKERS` cannot change any response byte: the
+//! "parallel == serial bitwise" invariant extended to serving.
 //!
-//! * **Stickiness.** A given encoded row is always explained by the
-//!   same worker (for a fixed pool size), so per-worker state — the
-//!   thread-local tensor pool warmed by PR 3, branch predictors, the
-//!   model snapshot in cache — stays hot for repeated rows.
-//! * **Worker-count invariance of bytes.** The recovery-resampling RNG
-//!   stream is derived from the same fingerprint
-//!   ([`row_fingerprint`]), *not* from the worker index. Changing
-//!   `CFX_SERVE_WORKERS` re-routes jobs but cannot change any
-//!   response byte — the PR-1/PR-3 "parallel == serial bitwise"
-//!   invariant extended to serving.
-//! * **Platform stability.** The hash runs over the rows' f32 **bit
-//!   patterns** in little-endian byte order — no float arithmetic, no
-//!   pointer-width dependence — so a request shards identically on
-//!   every architecture. `crates/serve/tests/shard_prop.rs` pins known
-//!   vectors.
-//!
-//! FNV-1a is used (same function the proptest shim uses for test
-//! seeds): 8 bytes of state, one multiply per byte, excellent avalanche
-//! for short keys like encoded rows.
+//! The hash runs over the rows' f32 **bit patterns** in little-endian
+//! byte order (no float arithmetic, no pointer-width dependence), so a
+//! request fingerprints identically on every architecture.
+//! `crates/serve/tests/shard_prop.rs` pins known vectors. FNV-1a is the
+//! same function the proptest shim uses for test seeds: 8 bytes of
+//! state and one multiply per byte.
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -43,11 +32,10 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// value's f32 bit pattern (little-endian), with a length-prefix per
 /// row so `[[a, b]]` and `[[a], [b]]` cannot collide structurally.
 ///
-/// The fingerprint is both the shard selector and the RNG stream of
-/// the job (see [`crate::batcher`]) and one ingredient of the response
-/// cache key (see [`crate::cache`]). `-0.0` and `0.0` hash differently
-/// on purpose: they are different encoded rows and may decode
-/// differently downstream.
+/// The fingerprint is the RNG stream of the job (see
+/// [`crate::batcher`]). `-0.0` and `0.0` hash differently on purpose:
+/// they are different encoded rows and may decode differently
+/// downstream.
 pub fn row_fingerprint(rows: &[Vec<f32>]) -> u64 {
     let mut hash = FNV_OFFSET;
     let mut eat = |bytes: &[u8]| {
@@ -63,13 +51,6 @@ pub fn row_fingerprint(rows: &[Vec<f32>]) -> u64 {
         }
     }
     hash
-}
-
-/// Maps a fingerprint onto one of `workers` shards. `workers == 0` is
-/// treated as 1 so a misconfigured pool degrades to serial, never
-/// panics.
-pub fn shard(fingerprint: u64, workers: usize) -> usize {
-    (fingerprint % workers.max(1) as u64) as usize
 }
 
 #[cfg(test)]
@@ -95,16 +76,5 @@ mod tests {
             "distinct bit patterns must fingerprint differently"
         );
         assert_eq!(a, row_fingerprint(&[vec![1.0, 2.0]]));
-    }
-
-    #[test]
-    fn shard_is_total_and_in_range() {
-        for fp in [0u64, 1, u64::MAX, 0xdead_beef] {
-            assert_eq!(shard(fp, 0), 0);
-            assert_eq!(shard(fp, 1), 0);
-            for n in 1..=8 {
-                assert!(shard(fp, n) < n);
-            }
-        }
     }
 }

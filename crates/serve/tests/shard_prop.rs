@@ -1,15 +1,12 @@
-//! Property tests pinning the job→worker shard function across
-//! platforms. The routing rule `shard = fnv1a(row_bits) % workers` is
-//! part of the serving contract — the response-cache key, the recovery
-//! RNG stream, and worker stickiness all hang off it — so the hash must
+//! Property tests pinning the row fingerprint across platforms. The
+//! fingerprint seeds each job's recovery RNG stream, so the hash must
 //! produce the *same* u64 on every architecture and release. These
 //! tests pin known FNV-1a vectors, pin concrete `row_fingerprint`
 //! values (computed from the spec: per-row u64 little-endian length
 //! prefix, then each f32's `to_bits()` little-endian), and check the
-//! algebraic properties (totality, range, modular consistency) over
-//! random fingerprints.
+//! fingerprint against an independent byte-level reference.
 
-use cfx_serve::{fnv1a64, row_fingerprint, shard};
+use cfx_serve::{fnv1a64, row_fingerprint};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,18 +32,15 @@ fn pinned_vectors_never_move() {
     assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
     assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
     assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
-    // … and concrete row fingerprints. If any of these change, every
-    // deployed response cache silently empties and rows re-shard:
-    // treat a failure here as a wire-format break, not a test to edit.
+    // … and concrete row fingerprints. If any of these change, the
+    // resampled counterfactuals of every served row change: treat a
+    // failure here as a wire-format break, not a test to edit.
     assert_eq!(row_fingerprint(&[vec![1.0, 2.0]]), 0x1adc_af45_48ac_e5b6);
     assert_eq!(
         row_fingerprint(&[vec![0.5, -3.25, 1e6], vec![0.0]]),
         0x9f66_5aea_e0d0_e3d5
     );
     assert_eq!(row_fingerprint(&[vec![]]), 0xa8c7_f832_281a_39c5);
-    // The routing that follows from the pinned hashes is pinned too.
-    assert_eq!(shard(0x1adc_af45_48ac_e5b6, 4), 2);
-    assert_eq!(shard(0x9f66_5aea_e0d0_e3d5, 4), 1);
 }
 
 proptest! {
@@ -67,19 +61,6 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(row_fingerprint(&rows), reference_fingerprint(&rows));
-    }
-
-    /// Sharding is total (any worker count, zero included), in range,
-    /// and exactly `fp % workers` — the property the byte-identity
-    /// argument and the e2e tests rely on.
-    #[test]
-    fn shard_is_total_in_range_and_modular(fp in any::<u64>()) {
-        prop_assert_eq!(shard(fp, 0), 0);
-        for workers in 1usize..=16 {
-            let s = shard(fp, workers);
-            prop_assert!(s < workers);
-            prop_assert_eq!(s as u64, fp % workers as u64);
-        }
     }
 
     /// Appending one more row always changes the fingerprint relative

@@ -43,8 +43,7 @@
 use crate::error::CfxError;
 use crate::optim::AdamState;
 use crate::tensor::Tensor;
-use std::fs::{self, File};
-use std::io::Write as _;
+use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
@@ -448,7 +447,7 @@ impl Checkpoint {
     /// point leaves either the previous file or the new one, never a
     /// torn mix.
     pub fn write_atomic(&self, path: &Path) -> Result<(), CfxError> {
-        write_bytes_atomic(path, &self.encode())
+        write_file(path, &self.encode())
     }
 
     /// Reads and verifies a checkpoint file. I/O failures map to
@@ -467,31 +466,10 @@ impl Checkpoint {
     }
 }
 
-/// Crash-safe byte write: temp sibling + fsync + rename + dir fsync.
-pub(crate) fn write_bytes_atomic(
-    path: &Path,
-    bytes: &[u8],
-) -> Result<(), CfxError> {
-    let io = |what: &str, e: std::io::Error| {
-        CfxError::io(format!("{what} {}: {e}", path.display()))
-    };
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    let mut file = File::create(&tmp).map_err(|e| io("create temp for", e))?;
-    file.write_all(bytes).map_err(|e| io("write temp for", e))?;
-    file.sync_all().map_err(|e| io("fsync temp for", e))?;
-    drop(file);
-    fs::rename(&tmp, path).map_err(|e| io("rename into", e))?;
-    // Make the rename itself durable. Failure to fsync the directory is
-    // not fatal for correctness (the rename is still atomic), so a
-    // best-effort sync suffices on filesystems without dir handles.
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
+/// [`cfx_obs::write_atomic`] with its error typed as [`CfxError::Io`].
+fn write_file(path: &Path, bytes: &[u8]) -> Result<(), CfxError> {
+    cfx_obs::write_atomic(path, bytes)
+        .map_err(|e| CfxError::io(format!("write {}: {e}", path.display())))
 }
 
 // ---------------------------------------------------------------------------
@@ -676,11 +654,11 @@ impl CheckpointManager {
         ckpt.put_f32s(SEC_LOSS, &[loss]);
         let bytes = ckpt.encode();
         let path = self.step_path(step);
-        write_bytes_atomic(&path, &bytes)?;
+        write_file(&path, &bytes)?;
         let best = loss < self.best_loss;
         if best {
             self.best_loss = loss;
-            write_bytes_atomic(&self.best_path(), &bytes)?;
+            write_file(&self.best_path(), &bytes)?;
         }
         self.retain()?;
         cfx_obs::event!(
@@ -967,8 +945,12 @@ mod tests {
         let path = dir.join("a.cfxckpt");
         let c = sample();
         c.write_atomic(&path).unwrap();
-        // No temp residue.
-        assert!(!dir.join("a.cfxckpt.tmp").exists());
+        // No temp residue: the directory holds only the checkpoint.
+        let names: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["a.cfxckpt"]);
         let d = Checkpoint::read(&path).unwrap();
         assert_eq!(d.u64s("rng").unwrap(), c.u64s("rng").unwrap());
         // Overwrite is atomic too: write a different checkpoint on top.

@@ -36,7 +36,6 @@ pub mod optim;
 pub mod pool;
 pub mod profile;
 pub mod runtime;
-pub mod serialize;
 pub mod tensor;
 
 pub use checkpoint::{

@@ -452,7 +452,7 @@ mod tests {
 
         #[test]
         fn oneof_and_flat_map(
-            x in prop_oneof![(0.1f32..0.2), (0.8f32..0.9)],
+            x in prop_oneof![0.1f32..0.2, 0.8f32..0.9],
             v in (2usize..5).prop_flat_map(|n| {
                 prop::collection::vec(0usize..10, n..=n)
             }),

@@ -15,9 +15,9 @@
 //!           [--prom-out FILE] [--drift-warn PSI] [--n N] [--seed S]
 //!     train a boot model and serve POST /explain, GET /healthz and
 //!     GET /metrics until SIGTERM/SIGINT triggers a graceful drain.
-//!     --workers (or CFX_SERVE_WORKERS) sizes the explain pool — jobs
-//!     are sharded by row content, so responses are byte-identical at
-//!     any worker count; --cache-cap (or CFX_SERVE_CACHE_CAP, 0 = off)
+//!     --workers (or CFX_SERVE_WORKERS) sizes the explain pool — a
+//!     job's resampling stream comes from its row content, so responses
+//!     are byte-identical at any worker count; --cache-cap (or CFX_SERVE_CACHE_CAP, 0 = off)
 //!     bounds the response cache; --drift-warn sets the PSI threshold
 //!     the live traffic drift monitor warns at (default 0.25).
 //!     CFX_SERVE_FAULT=slow-client|malformed|kill@<n> arms deterministic

@@ -103,7 +103,8 @@
 //!
 //! `cfx_tensor` is a deliberately small autodiff engine: 2-D `f32`
 //! tensors, a fully enumerated op set (every backward rule covered by
-//! finite-difference property tests), SGD/Adam, and a text format for
-//! parameters. If you need an op, add it to the `Op` enum with its
-//! backward rule and a gradient-check test — resist the temptation to
-//! generalize beyond what the models need.
+//! finite-difference property tests), SGD/Adam, and a binary
+//! checkpoint format for parameters and training state. If you need an
+//! op, add it to the `Op` enum with its backward rule and a
+//! gradient-check test — resist the temptation to generalize beyond
+//! what the models need.

@@ -14,7 +14,7 @@ use cfx::data::{DatasetId, EncodedDataset};
 use cfx::models::{BlackBox, BlackBoxConfig};
 use cfx::tensor::checkpoint::CRASH_EXIT_CODE;
 use cfx::tensor::runtime::with_threads;
-use cfx::tensor::{serialize, Module, Tensor};
+use cfx::tensor::{Module, Tensor};
 use std::path::PathBuf;
 
 const EPOCHS: usize = 6;
@@ -54,13 +54,21 @@ fn train_x(data: &EncodedDataset) -> Tensor {
     data.x.slice_rows(0, 512)
 }
 
-/// Final weights (serialized canonically) + the report of a run.
-fn weights(model: &FeasibleCfModel) -> String {
-    serialize::encode(&model.vae().export_params())
+/// Final weights as raw `f32` bits: equal iff bitwise identical.
+fn weights(model: &FeasibleCfModel) -> Vec<Vec<u32>> {
+    model
+        .vae()
+        .export_params()
+        .iter()
+        .map(|t| t.as_slice().iter().map(|v| v.to_bits()).collect())
+        .collect()
 }
 
 /// The uninterrupted reference run (no checkpointing at all).
-fn reference(data: &EncodedDataset, bb: &BlackBox) -> (String, TrainReport) {
+fn reference(
+    data: &EncodedDataset,
+    bb: &BlackBox,
+) -> (Vec<Vec<u32>>, TrainReport) {
     let mut model = fresh_model(data, bb);
     let report = model.fit(&train_x(data));
     assert_eq!(report.status, TrainStatus::Completed);
@@ -81,7 +89,7 @@ fn paused_then_resumed(
     data: &EncodedDataset,
     bb: &BlackBox,
     dir: &PathBuf,
-) -> (String, TrainReport) {
+) -> (Vec<Vec<u32>>, TrainReport) {
     let x = train_x(data);
     let mut first = fresh_model(data, bb);
     let pause = CheckpointConfig::in_dir(dir.clone())

@@ -86,7 +86,6 @@ mod injected {
     use super::*;
     use cfx::tensor::guard::{self, Fault, FaultKind};
     use cfx::tensor::runtime::with_threads;
-    use cfx::tensor::serialize;
     use cfx::tensor::Tape;
     use proptest::prelude::*;
 
@@ -183,7 +182,7 @@ mod injected {
     fn recovery_is_bitwise_deterministic_across_thread_counts() {
         let f = fixture();
         let fault = Fault { kind: FaultKind::Nan, op_index: 1_500 };
-        let encoded: Vec<String> = [1usize, 2, 4]
+        let weights: Vec<Vec<Vec<u32>>> = [1usize, 2, 4]
             .iter()
             .map(|&threads| {
                 let mut model = small_model(&f);
@@ -192,11 +191,15 @@ mod injected {
                 });
                 assert!(fired, "{threads} threads: fault did not fire");
                 assert!(report.retries >= 1);
-                serialize::encode(&model.vae().export_params())
+                let params = model.vae().export_params();
+                params
+                    .iter()
+                    .map(|t| t.as_slice().iter().map(|v| v.to_bits()).collect())
+                    .collect()
             })
             .collect();
-        assert_eq!(encoded[0], encoded[1], "1 vs 2 threads diverged");
-        assert_eq!(encoded[0], encoded[2], "1 vs 4 threads diverged");
+        assert_eq!(weights[0], weights[1], "1 vs 2 threads diverged");
+        assert_eq!(weights[0], weights[2], "1 vs 4 threads diverged");
     }
 
     /// The `CFX_FAULT` environment knob, exercised by the CI

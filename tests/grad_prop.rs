@@ -52,7 +52,7 @@ fn unary_op() -> impl Strategy<Value = UnaryOp> {
 /// makes finite differences disagree legitimately.
 fn smooth_values(n: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(
-        prop_oneof![(0.15f32..1.6), (-1.6f32..-0.15)],
+        prop_oneof![0.15f32..1.6, -1.6f32..-0.15],
         n..=n,
     )
 }

@@ -14,7 +14,7 @@ use cfx::core::{
 use cfx::data::{DatasetId, EncodedDataset};
 use cfx::models::{BlackBox, BlackBoxConfig};
 use cfx::tensor::runtime::with_threads;
-use cfx::tensor::{serialize, Module, Tensor};
+use cfx::tensor::{Module, Tensor};
 use cfx_obs::json::{parse, Value};
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -60,17 +60,22 @@ fn train_x(data: &EncodedDataset) -> Tensor {
     data.x.slice_rows(0, 256)
 }
 
-/// Runs a fresh fit and returns canonically serialized final weights
+/// Runs a fresh fit and returns the final weights as raw `f32` bits
 /// plus the report.
 fn run_fit(
     data: &EncodedDataset,
     bb: &BlackBox,
     threads: usize,
-) -> (String, TrainReport) {
+) -> (Vec<Vec<u32>>, TrainReport) {
     let mut model = fresh_model(data, bb);
     let report = with_threads(threads, || model.fit(&train_x(data)));
     assert_eq!(report.status, TrainStatus::Completed);
-    (serialize::encode(&model.vae().export_params()), report)
+    let params = model.vae().export_params();
+    let bits = params
+        .iter()
+        .map(|t| t.as_slice().iter().map(|v| v.to_bits()).collect())
+        .collect();
+    (bits, report)
 }
 
 fn scratch_trace(tag: &str) -> PathBuf {
@@ -82,8 +87,7 @@ fn scratch_trace(tag: &str) -> PathBuf {
 
 /// Weights and reports are bitwise identical with telemetry fully on
 /// (JSONL sink + op profiler + metrics) vs fully off, at every thread
-/// count. The serialized-params comparison is exact: `serialize::encode`
-/// is canonical, so equal strings mean equal `f32` bits.
+/// count. The params comparison is exact: it compares raw `f32` bits.
 #[test]
 fn telemetry_is_a_pure_observer_at_1_2_4_threads() {
     let _g = lock();

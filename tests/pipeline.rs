@@ -14,8 +14,8 @@ use cfx::data::{DatasetId, EncodedDataset, Split};
 use cfx::manifold::{knn_separability, tsne, TsneConfig};
 use cfx::metrics::{sparsity, validity_pct, MetricContext};
 use cfx::models::{BlackBox, BlackBoxConfig};
-use cfx::tensor::serialize::{load_module, save_module};
-use cfx::tensor::Tensor;
+use cfx::tensor::checkpoint::Checkpoint;
+use cfx::tensor::{Module, Tensor};
 
 struct Pipeline {
     data: EncodedDataset,
@@ -199,8 +199,10 @@ fn trained_model_round_trips_through_disk() {
 
     let dir = std::env::temp_dir().join("cfx_pipeline_roundtrip");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("model.cfxt");
-    save_module(&model, &path).unwrap();
+    let path = dir.join("model.cfxckpt");
+    let mut ckpt = Checkpoint::new();
+    ckpt.put_tensors("params", &model.export_params());
+    ckpt.write_atomic(&path).unwrap();
 
     let mut restored = {
         let config = FeasibleCfConfig::paper(DatasetId::Adult, ConstraintMode::Unary)
@@ -211,7 +213,8 @@ fn trained_model_round_trips_through_disk() {
         ).unwrap();
         FeasibleCfModel::new(&p.data, p.blackbox.clone(), constraints, config)
     };
-    load_module(&mut restored, &path).unwrap();
+    let params = Checkpoint::read(&path).unwrap().tensors("params").unwrap();
+    restored.import_params(&params);
     let after = restored.counterfactuals(&x);
     for (a, b) in before.as_slice().iter().zip(after.as_slice()) {
         assert!((a - b).abs() < 1e-6);

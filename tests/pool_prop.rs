@@ -7,7 +7,7 @@
 
 use cfx::models::{BlackBox, BlackBoxConfig};
 use cfx::tensor::runtime::with_threads;
-use cfx::tensor::{serialize, Module, Tape, Tensor};
+use cfx::tensor::{Module, Tape, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -213,7 +213,13 @@ fn pooled_fit_is_bitwise_identical_across_threads_and_pool_state() {
         with_threads(threads, || {
             let mut bb = BlackBox::new(5, &cfg);
             let losses = bb.train(&x, &y, &cfg);
-            (serialize::encode(&bb.network().export_params()), losses)
+            let params: Vec<Vec<u32>> = bb
+                .network()
+                .export_params()
+                .iter()
+                .map(|t| t.as_slice().iter().map(|v| v.to_bits()).collect())
+                .collect();
+            (params, losses)
         })
     };
     let (params1, losses1) = fit(1);

@@ -12,7 +12,6 @@ use cfx::models::{
     BlackBox, BlackBoxConfig, EnsembleBlackBox, EnsembleConfig,
 };
 use cfx::tensor::runtime::with_threads;
-use cfx::tensor::Tensor;
 
 struct Fixture {
     data: EncodedDataset,

@@ -263,11 +263,8 @@ fn deadline_paths_are_typed_timeouts() {
     // answered with Timeout without spending compute.
     let queue = Arc::new(BoundedQueue::new(4));
     let registry = Arc::new(serve::ModelRegistry::new(servable(f), None));
-    let join = batcher::spawn(
-        Arc::clone(&queue),
-        Arc::clone(&registry),
-        batcher::BatcherConfig::default(),
-    );
+    let workers =
+        batcher::spawn_pool(Arc::clone(&queue), 1, Arc::clone(&registry), None);
     let (tx, rx) = mpsc::channel();
     queue
         .try_push(batcher::ExplainJob {
@@ -287,7 +284,9 @@ fn deadline_paths_are_typed_timeouts() {
         "expired job must be a typed timeout"
     );
     queue.close();
-    join.join().unwrap();
+    for w in workers {
+        w.join().unwrap();
+    }
 }
 
 #[test]
@@ -517,6 +516,22 @@ fn worker_count_is_invisible_in_response_bytes() {
         base, wide,
         "responses must be byte-identical at every worker count"
     );
+}
+
+/// `queue_cap` is the admission budget exactly, at any worker count:
+/// the workers share one queue instead of splitting it.
+#[test]
+fn healthz_reports_the_exact_queue_cap() {
+    let h = start(ServeConfig {
+        workers: 3,
+        queue_cap: 64,
+        ..Default::default()
+    });
+    let hz = healthz_body(h.addr());
+    assert_eq!(healthz_u64(&hz, "workers"), 3, "{hz}");
+    assert_eq!(healthz_u64(&hz, "queue_cap"), 64, "{hz}");
+    h.shutdown();
+    h.join();
 }
 
 #[test]
