@@ -21,11 +21,11 @@
 //!    worker index: whichever worker pops a job, it draws the same
 //!    stream.
 //!
-//! Within one worker, batching amortizes queue wake-ups and snapshot
-//! grabs: gather up to [`MAX_BATCH_ROWS`] rows for at most [`LINGER`]
-//! (or until the first job's deadline, if sooner), answer expired jobs
-//! with a typed [`CfxError::Timeout`] without spending compute, and
-//! answer every admitted job exactly once (the drain contract).
+//! Within one worker, a pop gathers up to [`MAX_BATCH_ROWS`] rows for
+//! at most [`LINGER`] (or until the first job's deadline, if sooner)
+//! and takes one model snapshot for them; expired jobs get a typed
+//! [`CfxError::Timeout`] without spending compute, and every admitted
+//! job is answered exactly once (the drain contract).
 
 use crate::cache::{CacheKey, ResponseCache};
 use crate::queue::BoundedQueue;
@@ -94,22 +94,15 @@ pub const MAX_BATCH_ROWS: usize = 256;
 /// How long a worker lingers for batch-mates after its first job.
 pub const LINGER: Duration = Duration::from_millis(2);
 
-/// One worker's identity and shared-resource handles.
-pub struct WorkerCtx {
-    /// Stable worker index (`0..workers`).
-    pub index: usize,
-    /// The shared response cache, if caching is enabled.
-    pub cache: Option<Arc<ResponseCache>>,
-}
-
 /// Consumes `queue` until it is closed *and* empty (the drain
 /// contract), answering every job exactly once.
-pub fn run(
+fn run(
     queue: &BoundedQueue<ExplainJob>,
     registry: &ModelRegistry,
-    ctx: &WorkerCtx,
+    index: usize,
+    cache: Option<&ResponseCache>,
 ) {
-    let jobs_metric = format!("cfx_serve_worker_jobs_total:w{}", ctx.index);
+    let jobs_metric = format!("cfx_serve_worker_jobs_total:w{index}");
     while let Some(first) = queue.pop_wait() {
         let mut batch = vec![(first, Instant::now())];
         let mut rows = batch[0].0.rows.len();
@@ -124,10 +117,6 @@ pub fn run(
                 None => break,
             }
         }
-        // Reload opportunity at every batch boundary: a new checkpoint
-        // is at most one batch away from serving on every worker (the
-        // registry serializes the actual load internally).
-        let _ = registry.poll();
         let servable = registry.current();
         counter("cfx_serve_batches_total").inc(1);
         counter("cfx_serve_worker_jobs_total").inc(batch.len() as u64);
@@ -151,9 +140,9 @@ pub fn run(
                     .as_nanos() as u64,
                 explain_ns,
                 serialize_ns,
-                worker: ctx.index as u64,
+                worker: index as u64,
             };
-            if let (Some(cache), Ok(body)) = (&ctx.cache, &result) {
+            if let (Some(cache), Ok(body)) = (cache, &result) {
                 // The worker inserts (not the connection thread): only
                 // here is the (body, model version) pairing known
                 // race-free, so a swap mid-request can never cache a
@@ -271,10 +260,10 @@ pub fn spawn_pool(
         .map(|index| {
             let queue = Arc::clone(&queue);
             let registry = Arc::clone(&registry);
-            let ctx = WorkerCtx { index, cache: cache.clone() };
+            let cache = cache.clone();
             std::thread::Builder::new()
                 .name(format!("cfx-serve-worker-{index}"))
-                .spawn(move || run(&queue, &registry, &ctx))
+                .spawn(move || run(&queue, &registry, index, cache.as_deref()))
                 .expect("spawn explain worker thread")
         })
         .collect()

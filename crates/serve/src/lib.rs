@@ -25,8 +25,8 @@
 //! * **Graceful drain.** SIGTERM stops admissions, completes every
 //!   accepted request, writes a final Prometheus snapshot, and exits 0.
 //! * **Deterministic responses.** Requests are explained individually
-//!   (micro-batching amortizes wake-ups, never mixes RNG streams), so
-//!   a response's bytes depend only on its own rows and the model
+//!   (micro-batching gathers jobs but never mixes RNG streams), so a
+//!   response's bytes depend only on its own rows and the model
 //!   version — under load, under drain, under chaos.
 //! * **Deterministic chaos.** `CFX_SERVE_FAULT=slow-client|malformed|`
 //!   `kill@<n>` arms reproducible network faults for drills.
@@ -46,7 +46,7 @@ pub mod registry;
 pub mod server;
 mod shard;
 
-pub use batcher::{ExplainJob, JobReply, WorkerCtx, WorkerTimings};
+pub use batcher::{ExplainJob, JobReply, WorkerTimings};
 pub use cache::{CacheKey, CacheStats, ResponseCache};
 pub use drift::{DriftMonitor, DriftScores};
 pub use fault::{FaultClock, ServeFault};

@@ -62,7 +62,7 @@ impl<T> BoundedQueue<T> {
 
     /// Non-blocking push; a full or closed queue refuses and returns the
     /// item so the caller can reply with a typed shed/drain response.
-    pub fn try_push(&self, item: T) -> Result<usize, PushError<T>> {
+    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
         let mut g = self.inner.lock().expect("queue lock poisoned");
         if g.closed {
             return Err(PushError::Closed(item));
@@ -71,10 +71,9 @@ impl<T> BoundedQueue<T> {
             return Err(PushError::Full(item));
         }
         g.items.push_back(item);
-        let depth = g.items.len();
         drop(g);
         self.nonempty.notify_one();
-        Ok(depth)
+        Ok(())
     }
 
     /// Blocks until an item is available or the queue is closed *and*
@@ -135,8 +134,9 @@ mod tests {
     #[test]
     fn push_pop_fifo_and_shed_at_cap() {
         let q = BoundedQueue::new(2);
-        assert_eq!(q.try_push(1).expect("room for a first item"), 1);
-        assert_eq!(q.try_push(2).expect("room up to the cap"), 2);
+        q.try_push(1).expect("room for a first item");
+        q.try_push(2).expect("room up to the cap");
+        assert_eq!(q.len(), 2);
         match q.try_push(3) {
             Err(PushError::Full(3)) => {}
             other => panic!("{other:?}"),

@@ -77,8 +77,8 @@ pub struct ModelRegistry {
     /// key already makes stale hits impossible; the purge reclaims the
     /// memory immediately instead of waiting for LRU churn).
     cache: Mutex<Option<Arc<ResponseCache>>>,
-    /// Serializes scan→load→record so concurrent pollers (N workers +
-    /// the idle accept loop) cannot double-import one checkpoint and
+    /// Serializes scan→load→record so concurrent callers of the public
+    /// [`poll`](Self::poll) cannot double-import one checkpoint and
     /// bump the version twice.
     polling: Mutex<()>,
 }
@@ -115,8 +115,9 @@ impl ModelRegistry {
     }
 
     /// Scans the watch directory and hot-loads the newest checkpoint if
-    /// it differs from the last one loaded. Called at batch boundaries,
-    /// so a reload is at most one batch away from taking effect.
+    /// it differs from the last one loaded. The daemon's accept loop
+    /// calls it whenever no connection is waiting (an idle tick, about
+    /// every 2 ms), so a new checkpoint serves within one idle tick.
     ///
     /// Returns `Ok(true)` when a new model was swapped in. Corrupt
     /// candidates are quarantined and reported via the

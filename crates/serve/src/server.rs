@@ -35,6 +35,7 @@ use crate::registry::{ModelRegistry, Servable};
 use crate::shard::row_fingerprint;
 use cfx_obs::FieldValue;
 use cfx_tensor::CfxError;
+use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -137,7 +138,8 @@ pub struct DrainReport {
 /// End-to-end and per-stage latency percentiles over served `/explain`
 /// requests, computed at drain from the stage samples the tracing
 /// layer collects. All values are nanoseconds; `samples` is the count
-/// summarized (bounded by [`MAX_STAGE_SAMPLES`]).
+/// summarized: the most recent served requests, at most
+/// [`MAX_STAGE_SAMPLES`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatencySummary {
     /// Served requests summarized.
@@ -199,7 +201,9 @@ pub fn report_serve(report: &DrainReport) -> String {
 }
 
 /// Cap on retained per-request stage samples: bounds drain-report
-/// memory under unbounded load (64 B each → ≤ 4 MiB).
+/// memory under unbounded load (64 B each → ≤ 4 MiB). Past the cap
+/// each new sample overwrites the oldest, so a long run's report
+/// covers its latest requests.
 pub const MAX_STAGE_SAMPLES: usize = 65_536;
 
 /// Histogram bucket bounds shared by every stage/request duration
@@ -248,8 +252,9 @@ struct Shared {
     malformed: AtomicU64,
     /// Live traffic drift monitor (`None` when disabled by config).
     drift: Option<DriftMonitor>,
-    /// Stage samples from served requests, summarized at drain.
-    samples: Mutex<Vec<StageSample>>,
+    /// Stage samples from served requests, summarized at drain: a ring
+    /// of the most recent [`MAX_STAGE_SAMPLES`].
+    samples: Mutex<VecDeque<StageSample>>,
 }
 
 impl Shared {
@@ -405,7 +410,7 @@ pub fn spawn(
         timeouts: AtomicU64::new(0),
         malformed: AtomicU64::new(0),
         drift,
-        samples: Mutex::new(Vec::new()),
+        samples: Mutex::new(VecDeque::new()),
         cfg,
     });
     let join = std::thread::Builder::new()
@@ -780,7 +785,7 @@ fn respond(
 ) -> bool {
     let resp = match (req.method, req.path()) {
         (Method::Get, "/healthz") => handle_healthz(shared, keep_alive),
-        (Method::Get, "/metrics") => handle_metrics(keep_alive),
+        (Method::Get, "/metrics") => handle_metrics(shared, keep_alive),
         (Method::Post, "/explain") => {
             handle_explain(shared, req, keep_alive, anchor)
         }
@@ -837,7 +842,10 @@ fn handle_healthz(shared: &Shared, keep_alive: bool) -> Vec<u8> {
     http::render_response(200, "application/json", &[], body.as_bytes(), keep_alive)
 }
 
-fn handle_metrics(keep_alive: bool) -> Vec<u8> {
+fn handle_metrics(shared: &Shared, keep_alive: bool) -> Vec<u8> {
+    // Read live, as `/healthz` does, so the gauge is the backlog now.
+    cfx_obs::metrics::gauge("cfx_serve_queue_depth")
+        .set(shared.queue.len() as f64);
     let body = cfx_obs::metrics::prometheus_snapshot();
     http::render_response(
         200,
@@ -995,18 +1003,25 @@ fn finish_explain(shared: &Shared, obs: &ExplainObs) {
     if obs.outcome == "served" {
         let mut samples =
             shared.samples.lock().unwrap_or_else(|e| e.into_inner());
-        if samples.len() < MAX_STAGE_SAMPLES {
-            samples.push(StageSample {
-                total_ns: obs.total_ns,
-                parse_ns: obs.parse_ns,
-                queue_wait_ns: obs.queue_wait_ns,
-                linger_ns: obs.linger_ns,
-                explain_ns: obs.explain_ns,
-                serialize_ns: obs.serialize_ns,
-                respond_ns: obs.respond_ns,
-            });
-        }
+        retain_sample(&mut samples, obs);
     }
+}
+
+/// Appends the stage sample of `obs` to the ring, dropping the oldest
+/// once it holds [`MAX_STAGE_SAMPLES`].
+fn retain_sample(samples: &mut VecDeque<StageSample>, obs: &ExplainObs) {
+    if samples.len() == MAX_STAGE_SAMPLES {
+        samples.pop_front();
+    }
+    samples.push_back(StageSample {
+        total_ns: obs.total_ns,
+        parse_ns: obs.parse_ns,
+        queue_wait_ns: obs.queue_wait_ns,
+        linger_ns: obs.linger_ns,
+        explain_ns: obs.explain_ns,
+        serialize_ns: obs.serialize_ns,
+        respond_ns: obs.respond_ns,
+    });
 }
 
 fn handle_explain(
@@ -1141,9 +1156,7 @@ fn explain_inner(
         reply: reply_tx,
     };
     match shared.queue.try_push(job) {
-        Ok(depth) => {
-            cfx_obs::metrics::gauge("cfx_serve_queue_depth").set(depth as f64);
-        }
+        Ok(_) => {}
         Err(PushError::Full(_)) => {
             obs.outcome = "shed_429";
             obs.status = 429;
@@ -1260,5 +1273,23 @@ fn explain_inner(
                 false,
             )
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stage_samples_keep_the_most_recent() {
+        let mut samples = VecDeque::new();
+        for i in 0..=MAX_STAGE_SAMPLES as u64 {
+            let obs = ExplainObs { total_ns: i, ..Default::default() };
+            retain_sample(&mut samples, &obs);
+        }
+        let last = MAX_STAGE_SAMPLES as u64;
+        assert_eq!(samples.len(), MAX_STAGE_SAMPLES);
+        assert_eq!(samples.front().map(|s| s.total_ns), Some(1));
+        assert_eq!(samples.back().map(|s| s.total_ns), Some(last));
     }
 }

@@ -534,6 +534,22 @@ fn healthz_reports_the_exact_queue_cap() {
     h.join();
 }
 
+/// `cfx_serve_queue_depth` is the live backlog, read at scrape time:
+/// once the only request is answered, the queue is empty again.
+#[test]
+fn metrics_report_the_live_queue_depth() {
+    let f = fixture();
+    let h = start(ServeConfig::default());
+    let addr = h.addr();
+    let (code, body) = roundtrip(addr, &post_explain(&denied_rows(f, 1), 30_000));
+    assert_eq!(code, 200, "{body}");
+    let metrics = roundtrip(addr, b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n").1;
+    let depth = metrics.lines().find(|l| l.starts_with("cfx_serve_queue_depth "));
+    assert_eq!(depth, Some("cfx_serve_queue_depth 0"));
+    h.shutdown();
+    h.join();
+}
+
 #[test]
 fn cache_hit_short_circuits_with_identical_bytes() {
     let f = fixture();
