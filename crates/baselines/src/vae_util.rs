@@ -10,11 +10,11 @@
 //! encoded features are all in `[0, 1]` and an L1 likelihood over-smooths
 //! the one-hot blocks.
 
-use cfx_tensor::checkpoint::{crash_point, Checkpoint, CheckpointConfig};
+use cfx_tensor::checkpoint::{CheckpointConfig, TrainCheckpoint, TrainState};
 use cfx_tensor::init::randn_tensor;
 use cfx_tensor::{
-    stable_sigmoid, Activation, Adam, CfxError, Linear, Mlp, Module,
-    Optimizer, Tape, Tensor, Var,
+    stable_sigmoid, Activation, CfxError, Linear, Mlp, Module, Optimizer,
+    Tape, Tensor, Var,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -94,12 +94,12 @@ impl PlainVae {
             .expect("disabled checkpointing cannot fail")
     }
 
-    /// [`fit`](Self::fit) with durable state: parameters, Adam moments +
-    /// step count, RNG stream, and the loss history are checkpointed
-    /// together every `ckpt.every_epochs` epochs, and with `ckpt.resume`
-    /// the fit continues bitwise-identically from the newest intact
-    /// checkpoint (the architecture is a pure function of the config and
-    /// data width, so the model is rebuilt then overwritten).
+    /// [`fit`](Self::fit) with durable state: parameters, the shared
+    /// [`TrainState`] (Adam, RNG, epoch, the shuffled row order) and the
+    /// loss history are checkpointed together after every epoch, and with
+    /// `ckpt.resume` the fit continues bitwise-identically from the newest
+    /// intact checkpoint (the architecture is a pure function of the
+    /// config and data width, so the model is rebuilt then overwritten).
     pub fn fit_with_checkpoints(
         x: &Tensor,
         config: &PlainVaeConfig,
@@ -136,51 +136,31 @@ impl PlainVae {
             latent_dim,
         };
 
-        let mut opt = Adam::with_lr(config.learning_rate);
-        let n = x.rows();
-        let mut order: Vec<usize> = (0..n).collect();
+        let mut state =
+            TrainState::new(config.learning_rate, rng, (0..x.rows()).collect());
         let mut losses = Vec::with_capacity(config.epochs);
-        let mut epoch = 0usize;
-
-        let mut manager = ckpt.manager()?;
-        if let Some(mgr) = manager.as_mut() {
-            if ckpt.resume {
-                if let Some((_, c)) = mgr.load_latest()? {
-                    vae.try_import_params(&c.tensors("vae")?)?;
-                    opt = Adam::from_state(c.adam("adam")?);
-                    let rs = c.u64s("rng")?;
-                    let rs: [u64; 4] =
-                        rs.as_slice().try_into().map_err(|_| {
-                            CfxError::corrupt("rng section malformed")
-                        })?;
-                    rng = StdRng::from_state(rs);
-                    let meta = c.u64s("meta.u64")?;
-                    epoch = *meta.first().ok_or_else(|| {
-                        CfxError::corrupt("meta.u64 section empty")
-                    })? as usize;
-                    losses = c.f32s("losses")?;
-                }
-            }
+        let train_ckpt = TrainCheckpoint::open(ckpt, "vae-epoch")?;
+        if let Some(c) = train_ckpt.resume(&mut vae, &mut state)? {
+            losses = c.f32s("losses")?;
         }
-        let every = ckpt.every_epochs.max(1);
 
         // One tape for the whole fit; reset() recycles every buffer so
         // steady-state ELBO steps run out of the pool.
         let mut tape = Tape::new();
         let mut pv = Vec::new();
-        while epoch < config.epochs {
-            order.shuffle(&mut rng);
+        while state.epoch < config.epochs {
+            state.order.shuffle(&mut state.rng);
             let mut total = 0.0;
             let mut batches = 0;
-            for chunk in order.chunks(config.batch_size) {
+            for chunk in state.order.chunks(config.batch_size) {
                 let xb = x.gather_rows_pooled(chunk);
                 let b = xb.rows();
-                let eps = randn_tensor(b, latent_dim, &mut rng);
+                let eps = randn_tensor(b, latent_dim, &mut state.rng);
                 tape.reset();
                 pv.clear();
                 let xv = tape.leaf(xb);
                 let (mu, logvar, recon_logits) =
-                    vae.forward(&mut tape, xv, &eps, &mut pv, &mut rng);
+                    vae.forward(&mut tape, xv, &eps, &mut pv, &mut state.rng);
                 // Per-row-sum BCE (fused sigmoid+BCE against the input
                 // node) so the KL term (also a per-row sum over latent
                 // dims) cannot dominate and collapse the posterior.
@@ -195,24 +175,11 @@ impl PlainVae {
                 tape.backward(loss);
                 tape.clip_grads(&pv, 5.0);
                 let grads = tape.grads_of(&pv);
-                opt.step_refs(&mut vae, &grads);
+                state.opt.step_refs(&mut vae, &grads);
             }
-            let mean = total / batches.max(1) as f32;
-            losses.push(mean);
-            epoch += 1;
-            if let Some(mgr) = manager.as_mut() {
-                if epoch % every == 0 || epoch == config.epochs {
-                    let mut c = Checkpoint::new();
-                    c.put_str("model", "PlainVae.fit");
-                    c.put_tensors("vae", &vae.export_params());
-                    c.put_adam("adam", &opt.export_state());
-                    c.put_u64s("rng", &rng.state());
-                    c.put_u64s("meta.u64", &[epoch as u64]);
-                    c.put_f32s("losses", &losses);
-                    mgr.save(epoch as u64, mean, &mut c)?;
-                    crash_point("vae-epoch", epoch as u64);
-                }
-            }
+            losses.push(total / batches.max(1) as f32);
+            state.epoch += 1;
+            train_ckpt.save(&vae, &state, |c| c.put_f32s("losses", &losses))?;
         }
         Ok((vae, losses))
     }

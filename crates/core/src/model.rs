@@ -15,7 +15,9 @@ use cfx_obs::sketch::{FeatureStats, BINS};
 use cfx_tensor::init::randn_tensor;
 use cfx_tensor::stable_sigmoid;
 use cfx_tensor::Activation;
-use cfx_tensor::checkpoint::{crash_point, Checkpoint, CheckpointConfig};
+use cfx_tensor::checkpoint::{
+    Checkpoint, CheckpointConfig, TrainCheckpoint, TrainState,
+};
 use cfx_tensor::{guard, CfxError};
 use cfx_tensor::{Adam, Module, Optimizer, Tape, Tensor};
 use rand::rngs::StdRng;
@@ -84,11 +86,11 @@ pub enum TrainStatus {
     Recovered,
     /// The retry budget ran out; the model holds the best snapshot.
     Exhausted,
-    /// The per-call epoch budget ran out before the schedule finished; a
+    /// The per-call epoch budget ran out before the schedule finished
+    /// (only reachable through [`FeasibleCfModel::fit_with_checkpoints`]
+    /// with an `epoch_budget`). With checkpointing on, the last epoch's
     /// checkpoint holds the full state and a resumed call continues
-    /// bitwise-identically (only reachable through
-    /// [`FeasibleCfModel::fit_with_checkpoints`] with an
-    /// `epoch_budget`).
+    /// bitwise-identically.
     Paused,
 }
 
@@ -117,6 +119,92 @@ impl TrainReport {
     pub fn last_total(&self) -> Option<f32> {
         self.history.last().map(|s| s.total)
     }
+}
+
+/// Fault codes in `fit`'s checkpoint `events` section: the index here.
+const FAULT_CODES: [FaultDetected; 3] = [
+    FaultDetected::NonFiniteLoss,
+    FaultDetected::NonFiniteGrad,
+    FaultDetected::Diverged,
+];
+
+/// Writes `fit`'s own resume sections, next to the shared
+/// [`TrainState`]: the watchdog's learning rate, best total and best
+/// snapshot, and the report so far.
+fn put_fit_sections(
+    c: &mut Checkpoint,
+    lr: f32,
+    best_total: f32,
+    best_snapshot: &[Tensor],
+    report: &TrainReport,
+) {
+    c.put_tensors("best", best_snapshot);
+    c.put_f32s("fit.f32", &[lr, best_total]);
+    let hist: Vec<f32> = report
+        .history
+        .iter()
+        .flat_map(|s| {
+            [s.total, s.validity, s.proximity, s.feasibility, s.sparsity, s.kl]
+        })
+        .collect();
+    c.put_f32s("history", &hist);
+    let events: Vec<u64> = report
+        .events
+        .iter()
+        .flat_map(|e| {
+            let lr_bits = e.learning_rate.to_bits() as u64;
+            [e.epoch as u64, e.retry as u64, e.fault as u64, lr_bits]
+        })
+        .collect();
+    c.put_u64s("events", &events);
+}
+
+/// Reads back [`put_fit_sections`] as `(lr, best_total, best_snapshot,
+/// report)`; the report's retries are its events. Malformed sections
+/// surface as [`CfxError::Corrupt`].
+fn read_fit_sections(
+    c: &Checkpoint,
+) -> Result<(f32, f32, Vec<Tensor>, TrainReport), CfxError> {
+    let [lr, best_total] = c.f32s("fit.f32")?[..] else {
+        return Err(CfxError::corrupt("fit metadata section malformed"));
+    };
+    let hist = c.f32s("history")?;
+    let events = c.u64s("events")?;
+    if hist.len() % 6 != 0 || events.len() % 4 != 0 {
+        return Err(CfxError::corrupt("history or event section malformed"));
+    }
+    let history = hist
+        .chunks_exact(6)
+        .map(|s| EpochStats {
+            total: s[0],
+            validity: s[1],
+            proximity: s[2],
+            feasibility: s[3],
+            sparsity: s[4],
+            kl: s[5],
+        })
+        .collect();
+    let events = events
+        .chunks_exact(4)
+        .map(|e| {
+            let fault = *FAULT_CODES.get(e[2] as usize).ok_or_else(|| {
+                CfxError::corrupt(format!("unknown fault code {}", e[2]))
+            })?;
+            Ok(RecoveryEvent {
+                epoch: e[0] as usize,
+                retry: e[1] as usize,
+                fault,
+                learning_rate: f32::from_bits(e[3] as u32),
+            })
+        })
+        .collect::<Result<Vec<_>, CfxError>>()?;
+    let report = TrainReport {
+        history,
+        retries: events.len(),
+        events,
+        status: TrainStatus::Completed,
+    };
+    Ok((lr, best_total, c.tensors("best")?, report))
 }
 
 /// Nearest-neighbor fallback pool for graceful generation degradation: a
@@ -348,11 +436,17 @@ impl FeasibleCfModel {
         x: &Tensor,
         on_epoch: impl FnMut(usize, &EpochStats),
     ) -> TrainReport {
-        self.fit_with_watchdog(x, &WatchdogConfig::default(), on_epoch)
+        self.fit_with_checkpoints(
+            x,
+            &WatchdogConfig::default(),
+            &CheckpointConfig::disabled(),
+            on_epoch,
+        )
+        .expect("disabled checkpointing cannot fail")
     }
 
-    /// The watchdog-supervised training loop (see `DESIGN.md`, "Failure
-    /// model & recovery").
+    /// The watchdog-supervised training loop behind [`fit`](Self::fit)
+    /// (see `DESIGN.md`, "Failure model & recovery"), with durable state.
     ///
     /// Each completed epoch that improves on the best total loss is
     /// snapshotted in memory ([`Module::export_params`]). When an epoch
@@ -363,37 +457,21 @@ impl FeasibleCfModel {
     /// reseeded, the optimizer moments reset, and the same epoch is
     /// retried. After `watchdog.max_retries` rollbacks training stops at
     /// the snapshot with [`TrainStatus::Exhausted`].
-    pub fn fit_with_watchdog(
-        &mut self,
-        x: &Tensor,
-        watchdog: &WatchdogConfig,
-        on_epoch: impl FnMut(usize, &EpochStats),
-    ) -> TrainReport {
-        self.fit_with_checkpoints(
-            x,
-            watchdog,
-            &CheckpointConfig::disabled(),
-            on_epoch,
-        )
-        .expect("disabled checkpointing cannot fail")
-    }
-
-    /// [`fit_with_watchdog`](Self::fit_with_watchdog) with durable state:
-    /// when `ckpt` names a directory, the full training state — VAE
-    /// parameters, best snapshot, Adam moments + step count, RNG stream
-    /// state, and epoch/watchdog metadata — is checkpointed every
-    /// `ckpt.every_epochs` completed epochs (and after every watchdog
-    /// rollback), crash-safely.
     ///
-    /// With `ckpt.resume`, the newest intact checkpoint is restored
-    /// before training, and the run continues **bitwise-identically** to
-    /// one that was never interrupted: same final weights, same
+    /// When `ckpt` names a directory, a [`TrainCheckpoint`] saves the full
+    /// training state crash-safely after every completed epoch and after
+    /// every rollback: the VAE parameters and the shared [`TrainState`]
+    /// (Adam, RNG, epoch), plus `fit`'s own sections — best snapshot,
+    /// learning rate, best total, history and recovery events. With
+    /// `ckpt.resume`, the newest intact checkpoint is restored before
+    /// training, and the run continues **bitwise-identically** to one
+    /// that was never interrupted: same final weights, same
     /// [`TrainReport`]. Corrupt checkpoint files are quarantined and the
     /// next older one is used. `on_epoch` fires only for epochs trained
     /// in *this* call, not for restored history.
     ///
-    /// `ckpt.epoch_budget` pauses the run ([`TrainStatus::Paused`], with
-    /// a forced checkpoint) after that many epochs complete in this call.
+    /// `ckpt.epoch_budget` pauses the run ([`TrainStatus::Paused`]) after
+    /// that many epochs complete in this call.
     pub fn fit_with_checkpoints(
         &mut self,
         x: &Tensor,
@@ -416,8 +494,13 @@ impl FeasibleCfModel {
         let _fit_span =
             cfx_obs::span!("fit", epochs = cfg.epochs, rows = n, seed = cfg.seed);
         let mut lr = cfg.learning_rate;
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xF17);
-        let mut opt = Adam::with_lr(lr);
+        // Every epoch draws a fresh balanced order, so the state carries
+        // no row order.
+        let mut state = TrainState::new(
+            lr,
+            StdRng::seed_from_u64(cfg.seed ^ 0xF17),
+            Vec::new(),
+        );
         let preds = self.blackbox.predict(x);
         let group0: Vec<usize> =
             (0..n).filter(|&r| preds[r] == 0).collect();
@@ -426,40 +509,26 @@ impl FeasibleCfModel {
 
         let mut best_total = f32::INFINITY;
         let mut best_snapshot = self.vae.export_params();
-        let mut epoch = 0usize;
 
-        let mut manager = ckpt.manager()?;
-        if let Some(mgr) = manager.as_mut() {
-            if ckpt.resume {
-                if let Some((_, c)) = mgr.load_latest()? {
-                    self.restore_fit_state(
-                        &c,
-                        &mut report,
-                        &mut epoch,
-                        &mut lr,
-                        &mut best_total,
-                        &mut best_snapshot,
-                        &mut opt,
-                        &mut rng,
-                    )?;
-                    cfx_obs::event!(
-                        "fit_resumed",
-                        epoch = epoch,
-                        retries = report.retries,
-                        lr = lr,
-                    );
-                }
-            }
+        let train_ckpt = TrainCheckpoint::open(ckpt, "epoch")?;
+        if let Some(c) = train_ckpt.resume(&mut self.vae, &mut state)? {
+            (lr, best_total, best_snapshot, report) = read_fit_sections(&c)?;
+            cfx_obs::event!(
+                "fit_resumed",
+                epoch = state.epoch,
+                retries = report.retries,
+                lr = lr,
+            );
         }
-        let every = ckpt.every_epochs.max(1);
         let mut epochs_this_call = 0usize;
 
         // One tape reused across every batch of every epoch: reset()
         // returns all buffers to the pool, so steady-state steps allocate
         // nothing fresh.
         let mut tape = Tape::new();
-        while epoch < cfg.epochs {
-            let order = balanced_order(&group0, &group1, n, &mut rng);
+        while state.epoch < cfg.epochs {
+            let epoch = state.epoch;
+            let order = balanced_order(&group0, &group1, n, &mut state.rng);
             // KL annealing: ramp the KL weight over the first half of
             // training (the standard cure for posterior collapse — with a
             // full-strength KL from step one, the narrow Table II encoder
@@ -473,8 +542,13 @@ impl FeasibleCfModel {
             let mut fault = None;
             for chunk in order.chunks(cfg.batch_size) {
                 let xb = x.gather_rows_pooled(chunk);
-                let step =
-                    self.train_batch(&xb, &mut tape, &mut opt, &mut rng, anneal);
+                let step = self.train_batch(
+                    &xb,
+                    &mut tape,
+                    &mut state.opt,
+                    &mut state.rng,
+                    anneal,
+                );
                 xb.recycle();
                 match step {
                     Ok((stats, grad_norm)) => {
@@ -540,8 +614,8 @@ impl FeasibleCfModel {
                 }
                 // Fresh optimizer moments (the old ones averaged corrupt
                 // gradients) and a decorrelated data order.
-                opt = Adam::with_lr(lr);
-                rng = StdRng::seed_from_u64(
+                state.opt = Adam::with_lr(lr);
+                state.rng = StdRng::seed_from_u64(
                     cfg.seed
                         ^ 0xF17
                         ^ 0x9E37_79B9_7F4A_7C15u64
@@ -551,19 +625,9 @@ impl FeasibleCfModel {
                 // retry resumes from *after* the rollback, not before it
                 // (same step number: the newest state for this epoch
                 // count wins).
-                if let Some(mgr) = manager.as_mut() {
-                    let mut c = self.fit_state_checkpoint(
-                        &report,
-                        epoch,
-                        lr,
-                        best_total,
-                        &best_snapshot,
-                        &opt,
-                        &rng,
-                    );
-                    // INFINITY: a rollback never displaces the best file.
-                    mgr.save(epoch as u64, f32::INFINITY, &mut c)?;
-                }
+                train_ckpt.save(&self.vae, &state, |c| {
+                    put_fit_sections(c, lr, best_total, &best_snapshot, &report)
+                })?;
                 continue; // retry the same epoch
             }
 
@@ -593,34 +657,18 @@ impl FeasibleCfModel {
                 best_total = stats.total;
                 best_snapshot = self.vae.export_params();
             }
-            epoch += 1;
+            state.epoch += 1;
             epochs_this_call += 1;
-            let budget_hit = ckpt
-                .epoch_budget
-                .is_some_and(|b| epochs_this_call >= b)
-                && epoch < cfg.epochs;
-            if let Some(mgr) = manager.as_mut() {
-                if epoch % every == 0 || epoch == cfg.epochs || budget_hit {
-                    let mut c = self.fit_state_checkpoint(
-                        &report,
-                        epoch,
-                        lr,
-                        best_total,
-                        &best_snapshot,
-                        &opt,
-                        &rng,
-                    );
-                    mgr.save(epoch as u64, stats.total, &mut c)?;
-                    // Deterministic kill switch for the crash-consistency
-                    // tests: always lands right after a durable save.
-                    crash_point("epoch", epoch as u64);
-                }
-            }
-            if budget_hit {
+            train_ckpt.save(&self.vae, &state, |c| {
+                put_fit_sections(c, lr, best_total, &best_snapshot, &report)
+            })?;
+            if ckpt.epoch_budget.is_some_and(|b| epochs_this_call >= b)
+                && state.epoch < cfg.epochs
+            {
                 report.status = TrainStatus::Paused;
                 cfx_obs::event!(
                     "fit_paused",
-                    epoch = epoch,
+                    epoch = state.epoch,
                     retries = report.retries,
                 );
                 return Ok(report);
@@ -641,138 +689,6 @@ impl FeasibleCfModel {
             },
         );
         Ok(report)
-    }
-
-    /// Serializes the complete mid-fit state into a checkpoint. Together
-    /// with [`restore_fit_state`](Self::restore_fit_state) this defines
-    /// the resume contract: params + optimizer + RNG + watchdog metadata
-    /// travel as one unit, so a restored run replays the exact arithmetic
-    /// of an uninterrupted one.
-    #[allow(clippy::too_many_arguments)]
-    fn fit_state_checkpoint(
-        &self,
-        report: &TrainReport,
-        epoch: usize,
-        lr: f32,
-        best_total: f32,
-        best_snapshot: &[Tensor],
-        opt: &Adam,
-        rng: &StdRng,
-    ) -> Checkpoint {
-        let mut c = Checkpoint::new();
-        c.put_str("model", "FeasibleCfModel.fit");
-        c.put_tensors("vae", &self.vae.export_params());
-        c.put_tensors("best", best_snapshot);
-        c.put_adam("adam", &opt.export_state());
-        c.put_u64s("rng", &rng.state());
-        c.put_u64s("meta.u64", &[epoch as u64, report.retries as u64]);
-        c.put_f32s("meta.f32", &[lr, best_total]);
-        let mut hist = Vec::with_capacity(report.history.len() * 6);
-        for s in &report.history {
-            hist.extend_from_slice(&[
-                s.total,
-                s.validity,
-                s.proximity,
-                s.feasibility,
-                s.sparsity,
-                s.kl,
-            ]);
-        }
-        c.put_f32s("history", &hist);
-        let mut ev_u = Vec::with_capacity(report.events.len() * 3);
-        let mut ev_f = Vec::with_capacity(report.events.len());
-        for e in &report.events {
-            ev_u.extend_from_slice(&[
-                e.epoch as u64,
-                e.retry as u64,
-                match e.fault {
-                    FaultDetected::NonFiniteLoss => 0,
-                    FaultDetected::NonFiniteGrad => 1,
-                    FaultDetected::Diverged => 2,
-                },
-            ]);
-            ev_f.push(e.learning_rate);
-        }
-        c.put_u64s("events.u64", &ev_u);
-        c.put_f32s("events.f32", &ev_f);
-        c
-    }
-
-    /// Restores mid-fit state from a checkpoint produced by
-    /// [`fit_state_checkpoint`](Self::fit_state_checkpoint). Shape
-    /// mismatches (a checkpoint from a different architecture) surface as
-    /// [`CfxError::Corrupt`], never a panic or a silently misloaded model.
-    #[allow(clippy::too_many_arguments)]
-    fn restore_fit_state(
-        &mut self,
-        c: &Checkpoint,
-        report: &mut TrainReport,
-        epoch: &mut usize,
-        lr: &mut f32,
-        best_total: &mut f32,
-        best_snapshot: &mut Vec<Tensor>,
-        opt: &mut Adam,
-        rng: &mut StdRng,
-    ) -> Result<(), CfxError> {
-        self.vae.try_import_params(&c.tensors("vae")?)?;
-        *best_snapshot = c.tensors("best")?;
-        *opt = Adam::from_state(c.adam("adam")?);
-        let rs = c.u64s("rng")?;
-        let rs: [u64; 4] = rs.as_slice().try_into().map_err(|_| {
-            CfxError::corrupt(format!("rng section has {} words", rs.len()))
-        })?;
-        *rng = StdRng::from_state(rs);
-        let meta_u = c.u64s("meta.u64")?;
-        let meta_f = c.f32s("meta.f32")?;
-        if meta_u.len() != 2 || meta_f.len() != 2 {
-            return Err(CfxError::corrupt("fit metadata sections malformed"));
-        }
-        *epoch = meta_u[0] as usize;
-        report.retries = meta_u[1] as usize;
-        *lr = meta_f[0];
-        *best_total = meta_f[1];
-        let hist = c.f32s("history")?;
-        if hist.len() % 6 != 0 {
-            return Err(CfxError::corrupt("history section malformed"));
-        }
-        report.history = hist
-            .chunks_exact(6)
-            .map(|s| EpochStats {
-                total: s[0],
-                validity: s[1],
-                proximity: s[2],
-                feasibility: s[3],
-                sparsity: s[4],
-                kl: s[5],
-            })
-            .collect();
-        let ev_u = c.u64s("events.u64")?;
-        let ev_f = c.f32s("events.f32")?;
-        if ev_u.len() % 3 != 0 || ev_u.len() / 3 != ev_f.len() {
-            return Err(CfxError::corrupt("event sections malformed"));
-        }
-        report.events = ev_u
-            .chunks_exact(3)
-            .zip(&ev_f)
-            .map(|(u, &learning_rate)| {
-                Ok(RecoveryEvent {
-                    epoch: u[0] as usize,
-                    retry: u[1] as usize,
-                    fault: match u[2] {
-                        0 => FaultDetected::NonFiniteLoss,
-                        1 => FaultDetected::NonFiniteGrad,
-                        2 => FaultDetected::Diverged,
-                        k => {
-                            return Err(CfxError::corrupt(format!(
-                                "unknown fault code {k}"
-                            )))
-                        }
-                    },
-                    learning_rate,
-                })
-            })
-            .collect::<Result<_, CfxError>>()?;
-        Ok(())
     }
 
     /// Generation-quality snapshot on a held-out set: the fraction of

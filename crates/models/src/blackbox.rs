@@ -10,9 +10,11 @@
 //! methods that need ∂logit/∂x (REVISE, CEM, the VAE validity term) use
 //! [`BlackBox::forward_tape`] to run it inside an autodiff tape.
 
-use cfx_tensor::checkpoint::{crash_point, Checkpoint, CheckpointConfig};
+use cfx_tensor::checkpoint::{
+    Checkpoint, CheckpointConfig, TrainCheckpoint, TrainState,
+};
 use cfx_tensor::{
-    stable_sigmoid, Activation, Adam, CfxError, Mlp, Module, Optimizer, Tape,
+    stable_sigmoid, Activation, CfxError, Mlp, Module, Optimizer, Tape,
     Tensor, Var,
 };
 use rand::rngs::StdRng;
@@ -84,10 +86,10 @@ impl BlackBox {
     }
 
     /// [`train`](Self::train) with durable state: network parameters,
-    /// Adam moments + step count, RNG stream, and the loss history are
-    /// checkpointed together every `ckpt.every_epochs` epochs, and with
-    /// `ckpt.resume` the run continues bitwise-identically from the
-    /// newest intact checkpoint.
+    /// the shared [`TrainState`] (Adam, RNG, epoch, the shuffled row
+    /// order) and the loss history are checkpointed together after every
+    /// epoch, and with `ckpt.resume` the run continues bitwise-identically
+    /// from the newest intact checkpoint.
     pub fn train_with_checkpoints(
         &mut self,
         x: &Tensor,
@@ -98,33 +100,16 @@ impl BlackBox {
         assert_eq!(x.rows(), y.rows(), "x/y row mismatch");
         assert_eq!(y.cols(), 1, "y must be (n, 1)");
         let n = x.rows();
-        let mut rng = StdRng::seed_from_u64(config.seed ^ 0x7121);
-        let mut opt = Adam::with_lr(config.learning_rate);
-        let mut order: Vec<usize> = (0..n).collect();
+        let mut state = TrainState::new(
+            config.learning_rate,
+            StdRng::seed_from_u64(config.seed ^ 0x7121),
+            (0..n).collect(),
+        );
         let mut epoch_losses = Vec::with_capacity(config.epochs);
-        let mut epoch = 0usize;
-
-        let mut manager = ckpt.manager()?;
-        if let Some(mgr) = manager.as_mut() {
-            if ckpt.resume {
-                if let Some((_, c)) = mgr.load_latest()? {
-                    self.net.try_import_params(&c.tensors("net")?)?;
-                    opt = Adam::from_state(c.adam("adam")?);
-                    let rs = c.u64s("rng")?;
-                    let rs: [u64; 4] =
-                        rs.as_slice().try_into().map_err(|_| {
-                            CfxError::corrupt("rng section malformed")
-                        })?;
-                    rng = StdRng::from_state(rs);
-                    let meta = c.u64s("meta.u64")?;
-                    epoch = *meta.first().ok_or_else(|| {
-                        CfxError::corrupt("meta.u64 section empty")
-                    })? as usize;
-                    epoch_losses = c.f32s("losses")?;
-                }
-            }
+        let train_ckpt = TrainCheckpoint::open(ckpt, "bb-epoch")?;
+        if let Some(c) = train_ckpt.resume(&mut self.net, &mut state)? {
+            epoch_losses = c.f32s("losses")?;
         }
-        let every = ckpt.every_epochs.max(1);
 
         // One tape for the whole run: reset() returns every buffer to the
         // pool, so steady-state steps train without fresh heap allocations.
@@ -134,50 +119,45 @@ impl BlackBox {
             "blackbox_train",
             epochs = config.epochs,
             rows = n,
-            start_epoch = epoch,
+            start_epoch = state.epoch,
         );
-        while epoch < config.epochs {
-            order.shuffle(&mut rng);
+        while state.epoch < config.epochs {
+            state.order.shuffle(&mut state.rng);
             let mut total = 0.0;
             let mut batches = 0;
-            for chunk in order.chunks(config.batch_size) {
+            for chunk in state.order.chunks(config.batch_size) {
                 let xb = x.gather_rows_pooled(chunk);
                 let yb = y.gather_rows_pooled(chunk);
                 tape.reset();
                 pv.clear();
                 let xv = tape.leaf(xb);
-                let logits =
-                    self.net.forward(&mut tape, xv, &mut pv, true, &mut rng);
+                let logits = self.net.forward(
+                    &mut tape,
+                    xv,
+                    &mut pv,
+                    true,
+                    &mut state.rng,
+                );
                 let loss = tape.sigmoid_bce(logits, &yb);
                 yb.recycle();
                 total += tape.value(loss).item();
                 batches += 1;
                 tape.backward(loss);
                 let grads = tape.grads_of(&pv);
-                opt.step_refs(&mut self.net, &grads);
+                state.opt.step_refs(&mut self.net, &grads);
             }
             let mean = total / batches.max(1) as f32;
             epoch_losses.push(mean);
             cfx_obs::event!(
                 "blackbox_epoch",
-                epoch = epoch,
+                epoch = state.epoch,
                 loss = mean,
                 batches = batches,
             );
-            epoch += 1;
-            if let Some(mgr) = manager.as_mut() {
-                if epoch % every == 0 || epoch == config.epochs {
-                    let mut c = Checkpoint::new();
-                    c.put_str("model", "BlackBox.train");
-                    c.put_tensors("net", &self.net.export_params());
-                    c.put_adam("adam", &opt.export_state());
-                    c.put_u64s("rng", &rng.state());
-                    c.put_u64s("meta.u64", &[epoch as u64]);
-                    c.put_f32s("losses", &epoch_losses);
-                    mgr.save(epoch as u64, mean, &mut c)?;
-                    crash_point("bb-epoch", epoch as u64);
-                }
-            }
+            state.epoch += 1;
+            train_ckpt.save(&self.net, &state, |c| {
+                c.put_f32s("losses", &epoch_losses)
+            })?;
         }
         Ok(epoch_losses)
     }

@@ -2,11 +2,13 @@
 //!
 //! The watchdog of `cfx-core` keeps its best snapshot in memory, which
 //! dies with the process. This module is the on-disk half of the
-//! durability story: a training loop periodically serializes its *full*
-//! state — parameters, Adam moments + step count, RNG stream state, and
-//! epoch/watchdog metadata — into a [`Checkpoint`], and a
-//! [`CheckpointManager`] persists it so a killed run resumes
-//! bit-for-bit where it left off.
+//! durability story, and it owns the one resume protocol every training
+//! loop shares (the black box, the baselines' VAE and the paper's
+//! generator): a loop keeps its parameters and a [`TrainState`] (Adam
+//! moments + step count, RNG stream words, completed epochs and the row
+//! order it shuffles in place), and a [`TrainCheckpoint`] saves both —
+//! plus any sections of the loop's own — after every completed epoch,
+//! so a killed run resumes bit-for-bit where it left off.
 //!
 //! # File format (version 1)
 //!
@@ -41,8 +43,10 @@
 //! under the checkpoint name.
 
 use crate::error::CfxError;
-use crate::optim::AdamState;
+use crate::nn::Module;
+use crate::optim::{Adam, AdamState};
 use crate::tensor::Tensor;
+use rand::rngs::StdRng;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -203,13 +207,8 @@ impl Checkpoint {
         Checkpoint::default()
     }
 
-    /// Names of all sections, in insertion order.
-    pub fn section_names(&self) -> impl Iterator<Item = &str> {
-        self.sections.iter().map(|(n, _)| n.as_str())
-    }
-
     /// Inserts (or replaces) a raw section.
-    pub fn put_bytes(&mut self, name: &str, bytes: Vec<u8>) {
+    fn put_bytes(&mut self, name: &str, bytes: Vec<u8>) {
         if let Some(slot) =
             self.sections.iter_mut().find(|(n, _)| n == name)
         {
@@ -220,7 +219,7 @@ impl Checkpoint {
     }
 
     /// Raw payload of a section; a missing section is a format error.
-    pub fn bytes(&self, name: &str) -> Result<&[u8], CfxError> {
+    fn bytes(&self, name: &str) -> Result<&[u8], CfxError> {
         self.sections
             .iter()
             .find(|(n, _)| n == name)
@@ -228,11 +227,6 @@ impl Checkpoint {
             .ok_or_else(|| {
                 CfxError::corrupt(format!("missing section {name:?}"))
             })
-    }
-
-    /// Whether a section exists.
-    pub fn has(&self, name: &str) -> bool {
-        self.sections.iter().any(|(n, _)| n == name)
     }
 
     /// Stores a list of tensors (shapes + raw f32 bits).
@@ -478,7 +472,8 @@ fn write_file(path: &Path, bytes: &[u8]) -> Result<(), CfxError> {
 
 /// Checkpointing policy handed to the training loops
 /// (`FeasibleCfModel::fit_with_checkpoints`, `BlackBox::train_with_checkpoints`,
-/// `PlainVae::fit_with_checkpoints`).
+/// `PlainVae::fit_with_checkpoints`). Where it is on, a loop saves after
+/// every completed epoch and keeps the two newest files.
 ///
 /// `dir: None` disables checkpointing entirely (the default), making the
 /// durable entry points exact aliases of the plain ones.
@@ -486,11 +481,6 @@ fn write_file(path: &Path, bytes: &[u8]) -> Result<(), CfxError> {
 pub struct CheckpointConfig {
     /// Directory for checkpoint files; `None` disables checkpointing.
     pub dir: Option<PathBuf>,
-    /// Save every N completed epochs (0 is treated as 1).
-    pub every_epochs: usize,
-    /// How many most-recent step checkpoints to retain (the best-loss
-    /// checkpoint is kept in addition, under its own name).
-    pub keep_last: usize,
     /// Resume from the latest good checkpoint if one exists.
     pub resume: bool,
     /// File-name prefix distinguishing multiple training loops sharing
@@ -509,33 +499,18 @@ impl CheckpointConfig {
         CheckpointConfig::default()
     }
 
-    /// Checkpoint into `dir` every epoch, keeping the last 2 + best.
+    /// Checkpoint into `dir` under the prefix `"ckpt"`.
     pub fn in_dir(dir: impl Into<PathBuf>) -> Self {
         CheckpointConfig {
             dir: Some(dir.into()),
-            every_epochs: 1,
-            keep_last: 2,
-            resume: false,
             prefix: "ckpt".to_string(),
-            epoch_budget: None,
+            ..CheckpointConfig::default()
         }
     }
 
     /// Builder: resume from the latest good checkpoint.
     pub fn with_resume(mut self, resume: bool) -> Self {
         self.resume = resume;
-        self
-    }
-
-    /// Builder: checkpoint cadence in epochs.
-    pub fn with_every(mut self, every_epochs: usize) -> Self {
-        self.every_epochs = every_epochs;
-        self
-    }
-
-    /// Builder: retention count for step checkpoints.
-    pub fn with_keep_last(mut self, keep_last: usize) -> Self {
-        self.keep_last = keep_last;
         self
     }
 
@@ -559,14 +534,10 @@ impl CheckpointConfig {
     /// Builds the manager for this config (creating the directory), or
     /// `None` when disabled.
     pub fn manager(&self) -> Result<Option<CheckpointManager>, CfxError> {
-        match &self.dir {
-            None => Ok(None),
-            Some(dir) => Ok(Some(CheckpointManager::new(
-                dir,
-                &self.prefix,
-                self.keep_last.max(1),
-            )?)),
-        }
+        self.dir
+            .as_ref()
+            .map(|dir| CheckpointManager::new(dir, &self.prefix))
+            .transpose()
     }
 }
 
@@ -574,61 +545,32 @@ impl CheckpointConfig {
 // CheckpointManager: naming, retention, corruption fallback.
 // ---------------------------------------------------------------------------
 
+/// How many of the newest step checkpoints a [`CheckpointManager`]
+/// keeps: the newest, plus one to fall back to if it is corrupt.
+const KEEP_LAST: usize = 2;
+
 /// Owns one training loop's checkpoint files inside a directory:
-/// `"{prefix}-{step:08}.cfxckpt"` per saved step plus
-/// `"{prefix}-best.cfxckpt"` for the best loss seen.
+/// `"{prefix}-{step:08}.cfxckpt"` per saved step.
 ///
-/// Retention keeps the newest `keep_last` step files and the best file.
-/// Loading walks step files newest-first; a file that fails CRC/format
-/// verification is quarantined (renamed to `*.corrupt`) and the next
-/// older one is tried, so one torn or rotted file never strands a run.
+/// Retention keeps the two newest step files. Loading walks
+/// step files newest-first; a file that fails CRC/format verification is
+/// quarantined (renamed to `*.corrupt`) and the next older one is tried,
+/// so one torn or rotted file never strands a run.
 #[derive(Debug)]
 pub struct CheckpointManager {
     dir: PathBuf,
     prefix: String,
-    keep_last: usize,
-    best_loss: f32,
 }
-
-/// Loss stored inside every managed checkpoint (raw f32 bits).
-const SEC_LOSS: &str = "manager.loss";
-/// Step stored inside every managed checkpoint.
-const SEC_STEP: &str = "manager.step";
 
 impl CheckpointManager {
     /// Opens (creating if needed) `dir` for checkpoints named under
-    /// `prefix`. Reads the existing best checkpoint, if any, to seed the
-    /// best-loss watermark.
-    pub fn new(
-        dir: impl Into<PathBuf>,
-        prefix: &str,
-        keep_last: usize,
-    ) -> Result<Self, CfxError> {
+    /// `prefix`.
+    pub fn new(dir: impl Into<PathBuf>, prefix: &str) -> Result<Self, CfxError> {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|e| {
             CfxError::io(format!("create {}: {e}", dir.display()))
         })?;
-        let mut mgr = CheckpointManager {
-            dir,
-            prefix: prefix.to_string(),
-            keep_last: keep_last.max(1),
-            best_loss: f32::INFINITY,
-        };
-        let best_path = mgr.best_path();
-        if best_path.exists() {
-            match Checkpoint::read(&best_path)
-                .and_then(|c| Ok(c.f32s(SEC_LOSS)?.first().copied()))
-            {
-                Ok(Some(loss)) => mgr.best_loss = loss,
-                _ => quarantine(&best_path),
-            }
-        }
-        Ok(mgr)
-    }
-
-    /// The directory this manager writes into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+        Ok(CheckpointManager { dir, prefix: prefix.to_string() })
     }
 
     /// Path of the step-`step` checkpoint.
@@ -636,38 +578,20 @@ impl CheckpointManager {
         self.dir.join(format!("{}-{step:08}.{EXTENSION}", self.prefix))
     }
 
-    /// Path of the best-loss checkpoint.
-    pub fn best_path(&self) -> PathBuf {
-        self.dir.join(format!("{}-best.{EXTENSION}", self.prefix))
-    }
-
-    /// Persists `ckpt` as the step-`step` checkpoint (atomically), also
-    /// updating the best-loss checkpoint when `loss` improves on every
-    /// loss saved before, then applies retention. Returns the step path.
-    pub fn save(
-        &mut self,
-        step: u64,
-        loss: f32,
-        ckpt: &mut Checkpoint,
-    ) -> Result<PathBuf, CfxError> {
-        ckpt.put_u64s(SEC_STEP, &[step]);
-        ckpt.put_f32s(SEC_LOSS, &[loss]);
+    /// Persists `ckpt` as the step-`step` checkpoint (atomically), then
+    /// applies retention. Returns the step path.
+    pub fn save(&self, step: u64, ckpt: &Checkpoint) -> Result<PathBuf, CfxError> {
         let bytes = ckpt.encode();
         let path = self.step_path(step);
         write_file(&path, &bytes)?;
-        let best = loss < self.best_loss;
-        if best {
-            self.best_loss = loss;
-            write_file(&self.best_path(), &bytes)?;
+        for (_, old) in self.step_files().into_iter().skip(KEEP_LAST) {
+            let _ = fs::remove_file(old);
         }
-        self.retain()?;
         cfx_obs::event!(
             "checkpoint_saved",
             path = path.display().to_string(),
             step = step,
-            loss = loss,
             bytes = bytes.len() as u64,
-            best = best,
         );
         Ok(path)
     }
@@ -676,9 +600,7 @@ impl CheckpointManager {
     /// corrupt files encountered on the way down. Returns `None` when no
     /// good checkpoint exists.
     pub fn load_latest(&self) -> Result<Option<(u64, Checkpoint)>, CfxError> {
-        let mut files = self.step_files();
-        files.sort_by(|a, b| b.0.cmp(&a.0));
-        for (step, path) in files {
+        for (step, path) in self.step_files() {
             match Checkpoint::read(&path) {
                 Ok(ckpt) => return Ok(Some((step, ckpt))),
                 Err(CfxError::Corrupt(detail)) => {
@@ -696,52 +618,15 @@ impl CheckpointManager {
         Ok(None)
     }
 
-    /// Loads the best-loss checkpoint, if present and intact (a corrupt
-    /// best file is quarantined and reported as absent).
-    pub fn load_best(&self) -> Result<Option<(f32, Checkpoint)>, CfxError> {
-        let path = self.best_path();
-        if !path.exists() {
-            return Ok(None);
-        }
-        match Checkpoint::read(&path) {
-            Ok(ckpt) => {
-                let loss =
-                    ckpt.f32s(SEC_LOSS)?.first().copied().unwrap_or(f32::NAN);
-                Ok(Some((loss, ckpt)))
-            }
-            Err(CfxError::Corrupt(detail)) => {
-                cfx_obs::warn!(
-                    "checkpoint_quarantined",
-                    path = path.display().to_string(),
-                    detail = detail,
-                    which = "best",
-                );
-                quarantine(&path);
-                Ok(None)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Deletes step checkpoints beyond the newest `keep_last` (the best
-    /// file is never touched — it has its own name).
-    fn retain(&self) -> Result<(), CfxError> {
-        let mut files = self.step_files();
-        files.sort_by(|a, b| b.0.cmp(&a.0));
-        for (_, path) in files.into_iter().skip(self.keep_last) {
-            let _ = fs::remove_file(path);
-        }
-        Ok(())
-    }
-
-    /// `(step, path)` of every step checkpoint currently on disk.
+    /// `(step, path)` of every step checkpoint currently on disk,
+    /// newest first.
     fn step_files(&self) -> Vec<(u64, PathBuf)> {
         let Ok(entries) = fs::read_dir(&self.dir) else {
             return Vec::new();
         };
         let prefix = format!("{}-", self.prefix);
         let suffix = format!(".{EXTENSION}");
-        entries
+        let mut files: Vec<(u64, PathBuf)> = entries
             .filter_map(|e| e.ok())
             .filter_map(|e| {
                 let name = e.file_name().into_string().ok()?;
@@ -751,7 +636,9 @@ impl CheckpointManager {
                 let step: u64 = stem.parse().ok()?;
                 Some((step, e.path()))
             })
-            .collect()
+            .collect();
+        files.sort_by_key(|f| std::cmp::Reverse(f.0));
+        files
     }
 }
 
@@ -786,11 +673,133 @@ pub fn quarantine(path: &Path) {
 }
 
 // ---------------------------------------------------------------------------
+// The training checkpoint: one resume protocol for every training loop.
+// ---------------------------------------------------------------------------
+
+/// What a training loop carries from one epoch to the next besides its
+/// parameters. Together with the parameters it is the whole resume
+/// closure of the black box and the baselines' VAE; the paper's `fit`
+/// adds its watchdog state as sections of its own.
+#[derive(Debug, Clone)]
+pub struct TrainState {
+    /// The optimizer: hyper-parameters, step count and both moments.
+    pub opt: Adam,
+    /// The loop's one RNG (batch order, dropout, latent noise).
+    pub rng: StdRng,
+    /// Completed epochs.
+    pub epoch: usize,
+    /// The row order a loop shuffles in place every epoch. Shuffling a
+    /// fresh `0..n` with the same RNG words gives a different
+    /// permutation, so the order is state too. Empty for a loop that
+    /// draws a new order every epoch.
+    pub order: Vec<usize>,
+}
+
+impl TrainState {
+    /// Epoch 0: Adam at `learning_rate`, `rng`, and the initial `order`.
+    pub fn new(learning_rate: f32, rng: StdRng, order: Vec<usize>) -> Self {
+        TrainState { opt: Adam::with_lr(learning_rate), rng, epoch: 0, order }
+    }
+}
+
+/// The one save/resume helper every training loop calls: it decides
+/// which sections a training checkpoint holds, restores them, and puts
+/// the `CFX_CRASH` kill point right after each durable save. With
+/// checkpointing off every call is a no-op.
+#[derive(Debug)]
+pub struct TrainCheckpoint {
+    manager: Option<CheckpointManager>,
+    resume: bool,
+    stage: &'static str,
+}
+
+impl TrainCheckpoint {
+    /// Opens `config`'s directory for the loop whose kill point is named
+    /// `stage` (`CFX_CRASH=<stage>@<epoch>`).
+    pub fn open(
+        config: &CheckpointConfig,
+        stage: &'static str,
+    ) -> Result<Self, CfxError> {
+        Ok(TrainCheckpoint {
+            manager: config.manager()?,
+            resume: config.resume,
+            stage,
+        })
+    }
+
+    /// With `resume` set, restores `model` and `state` from the newest
+    /// intact checkpoint (quarantining corrupt ones on the way) and
+    /// returns it, so the loop can read its own sections. `None` when
+    /// there is nothing to resume. A checkpoint from a different
+    /// architecture or row count is a [`CfxError::Corrupt`].
+    pub fn resume(
+        &self,
+        model: &mut dyn Module,
+        state: &mut TrainState,
+    ) -> Result<Option<Checkpoint>, CfxError> {
+        let Some(manager) = self.manager.as_ref().filter(|_| self.resume) else {
+            return Ok(None);
+        };
+        let Some((_, c)) = manager.load_latest()? else {
+            return Ok(None);
+        };
+        let rng: [u64; 4] = c.u64s("rng")?.try_into().map_err(|w: Vec<u64>| {
+            CfxError::corrupt(format!("rng section has {} words", w.len()))
+        })?;
+        let [epoch] = c.u64s("epoch")?[..] else {
+            return Err(CfxError::corrupt("epoch section malformed"));
+        };
+        let order: Vec<usize> =
+            c.u64s("order")?.into_iter().map(|i| i as usize).collect();
+        if order.len() != state.order.len() {
+            return Err(CfxError::corrupt(format!(
+                "order section has {} rows, the loop has {}",
+                order.len(),
+                state.order.len()
+            )));
+        }
+        model.try_import_params(&c.tensors("params")?)?;
+        state.opt = Adam::from_state(c.adam("adam")?);
+        state.rng = StdRng::from_state(rng);
+        state.epoch = epoch as usize;
+        state.order = order;
+        Ok(Some(c))
+    }
+
+    /// Saves `model`, `state` and the sections `extra` adds as step
+    /// `state.epoch`, keeps the two newest files, then passes the kill
+    /// point `<stage>@<state.epoch>`. `extra` only runs when
+    /// checkpointing is on.
+    pub fn save(
+        &self,
+        model: &dyn Module,
+        state: &TrainState,
+        extra: impl FnOnce(&mut Checkpoint),
+    ) -> Result<(), CfxError> {
+        let Some(manager) = &self.manager else {
+            return Ok(());
+        };
+        let mut c = Checkpoint::new();
+        c.put_tensors("params", &model.export_params());
+        c.put_adam("adam", &state.opt.export_state());
+        c.put_u64s("rng", &state.rng.state());
+        c.put_u64s("epoch", &[state.epoch as u64]);
+        let order: Vec<u64> = state.order.iter().map(|&i| i as u64).collect();
+        c.put_u64s("order", &order);
+        extra(&mut c);
+        manager.save(state.epoch as u64, &c)?;
+        crash_point(self.stage, state.epoch as u64);
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Deterministic crash injection (kill/resume testing).
 // ---------------------------------------------------------------------------
 
-/// Exit code used by [`crash_point`] — the conventional SIGKILL code, so
-/// a deterministic crash is indistinguishable from `kill -9` to callers.
+/// Exit code of a `CFX_CRASH` kill point — the conventional SIGKILL
+/// code, so a deterministic crash is indistinguishable from `kill -9` to
+/// callers.
 pub const CRASH_EXIT_CODE: i32 = 137;
 
 fn env_crash() -> Option<(String, u64)> {
@@ -806,11 +815,11 @@ fn env_crash() -> Option<(String, u64)> {
 /// Deterministic kill switch for crash-consistency tests: when the
 /// `CFX_CRASH=<stage>@<index>` environment variable matches, the process
 /// exits immediately with [`CRASH_EXIT_CODE`] — the moral equivalent of
-/// a SIGKILL at a repeatable point. Training loops call this right
-/// *after* persisting a checkpoint, so the crash always lands between a
-/// completed durable state and the next epoch. A no-op unless the
-/// variable is set.
-pub fn crash_point(stage: &str, index: u64) {
+/// a SIGKILL at a repeatable point. [`TrainCheckpoint::save`] calls this
+/// right *after* persisting a checkpoint, so the crash always lands
+/// between a completed durable state and the next epoch. A no-op unless
+/// the variable is set.
+fn crash_point(stage: &str, index: u64) {
     if let Some((s, i)) = env_crash() {
         if s == stage && i == index {
             cfx_obs::warn!("simulated_crash", stage = stage, index = index);
@@ -962,20 +971,16 @@ mod tests {
     }
 
     #[test]
-    fn manager_retention_keeps_last_k_and_best() {
+    fn manager_retention_keeps_last_two() {
         let dir = tmpdir("retention");
-        let mut mgr = CheckpointManager::new(&dir, "m", 2).unwrap();
-        // Losses dip at step 2 then rise: best must stay pinned at 2.
-        for (step, loss) in [(1u64, 5.0f32), (2, 1.0), (3, 2.0), (4, 3.0)] {
-            let mut c = sample();
-            mgr.save(step, loss, &mut c).unwrap();
+        let mgr = CheckpointManager::new(&dir, "m").unwrap();
+        for step in 1..=4u64 {
+            mgr.save(step, &sample()).unwrap();
         }
         assert!(!mgr.step_path(1).exists());
         assert!(!mgr.step_path(2).exists());
         assert!(mgr.step_path(3).exists());
         assert!(mgr.step_path(4).exists());
-        let (best_loss, _) = mgr.load_best().unwrap().unwrap();
-        assert_eq!(best_loss, 1.0);
         let (step, _) = mgr.load_latest().unwrap().unwrap();
         assert_eq!(step, 4);
         let _ = fs::remove_dir_all(dir);
@@ -984,11 +989,11 @@ mod tests {
     #[test]
     fn corrupt_latest_quarantined_and_falls_back() {
         let dir = tmpdir("fallback");
-        let mut mgr = CheckpointManager::new(&dir, "m", 3).unwrap();
+        let mgr = CheckpointManager::new(&dir, "m").unwrap();
         for step in 1..=3u64 {
             let mut c = sample();
             c.put_u64s("which", &[step]);
-            mgr.save(step, step as f32, &mut c).unwrap();
+            mgr.save(step, &c).unwrap();
         }
         // Flip one byte in the newest file.
         let latest = mgr.step_path(3);
@@ -1029,25 +1034,6 @@ mod tests {
                 .unwrap_or_else(|_| panic!("{} missing", path.display()));
             assert_eq!(bytes, [byte], "{} clobbered", path.display());
         }
-        let _ = fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn manager_reopen_restores_best_watermark() {
-        let dir = tmpdir("reopen");
-        {
-            let mut mgr = CheckpointManager::new(&dir, "m", 2).unwrap();
-            let mut c = sample();
-            mgr.save(1, 0.5, &mut c).unwrap();
-        }
-        let mut mgr = CheckpointManager::new(&dir, "m", 2).unwrap();
-        // A worse loss must not displace the persisted best.
-        let mut c = sample();
-        c.put_u64s("which", &[2]);
-        mgr.save(2, 1.5, &mut c).unwrap();
-        let (best_loss, best) = mgr.load_best().unwrap().unwrap();
-        assert_eq!(best_loss, 0.5);
-        assert!(!best.has("which"));
         let _ = fs::remove_dir_all(dir);
     }
 

@@ -39,7 +39,8 @@ pub mod runtime;
 pub mod tensor;
 
 pub use checkpoint::{
-    crash_point, Checkpoint, CheckpointConfig, CheckpointManager,
+    Checkpoint, CheckpointConfig, CheckpointManager, TrainCheckpoint,
+    TrainState,
 };
 pub use error::CfxError;
 pub use graph::{stable_sigmoid, stable_softplus, Tape, Var};

@@ -1,11 +1,16 @@
-//! Crash-safe resume, end to end: an interrupted `FeasibleCfModel::fit`
-//! — paused cooperatively via an epoch budget, or killed hard mid-epoch
-//! by the deterministic `CFX_CRASH` switch in a child process — must,
-//! after `--resume`, reach **bitwise** the same final weights and the
-//! same `TrainReport` as an uninterrupted run, at 1/2/4 threads. A
-//! corrupted newest checkpoint must be quarantined and the resume fall
-//! back to the previous intact one, still converging to identical bits.
+//! Crash-safe resume, end to end, for every training loop: the paper's
+//! `FeasibleCfModel::fit`, the black box and the baselines' `PlainVae`.
+//! An interrupted `fit` — paused cooperatively via an epoch budget, or
+//! killed hard mid-epoch by the deterministic `CFX_CRASH` switch in a
+//! child process — must, after `--resume`, reach **bitwise** the same
+//! final weights and the same `TrainReport` as an uninterrupted run, at
+//! 1/2/4 threads. A corrupted newest checkpoint must be quarantined and
+//! the resume fall back to the previous intact one, still converging to
+//! identical bits. The black box and `PlainVae`, stopped after half
+//! their epochs and resumed in a fresh instance, must reach the
+//! uninterrupted weights bit for bit and the same per-epoch losses.
 
+use cfx::baselines::{PlainVae, PlainVaeConfig};
 use cfx::core::{
     CheckpointConfig, ConstraintMode, FeasibleCfConfig, FeasibleCfModel,
     TrainReport, TrainStatus, WatchdogConfig,
@@ -54,14 +59,18 @@ fn train_x(data: &EncodedDataset) -> Tensor {
     data.x.slice_rows(0, 512)
 }
 
-/// Final weights as raw `f32` bits: equal iff bitwise identical.
-fn weights(model: &FeasibleCfModel) -> Vec<Vec<u32>> {
-    model
-        .vae()
+/// Parameters as raw `f32` bits: equal iff bitwise identical.
+fn param_bits(module: &impl Module) -> Vec<Vec<u32>> {
+    module
         .export_params()
         .iter()
         .map(|t| t.as_slice().iter().map(|v| v.to_bits()).collect())
         .collect()
+}
+
+/// Final generator weights as raw `f32` bits.
+fn weights(model: &FeasibleCfModel) -> Vec<Vec<u32>> {
+    param_bits(model.vae())
 }
 
 /// The uninterrupted reference run (no checkpointing at all).
@@ -228,5 +237,72 @@ fn corrupt_latest_is_quarantined_and_resume_still_matches() {
     assert!(quarantined.exists(), "corrupt checkpoint must be set aside");
     assert_eq!(weights(&second), ref_w, "fallback resume diverged");
     assert_eq!(report, ref_r, "fallback resume report diverged");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The black box, trained `PAUSE_AFTER` of `EPOCHS` epochs into a fresh
+/// directory and then resumed to `EPOCHS` in a fresh instance, lands on
+/// the uninterrupted weights bit for bit and the same per-epoch losses.
+/// The first call simply trains for `PAUSE_AFTER` epochs: the loop reads
+/// its epoch total only as the loop bound, so it writes the epoch-3
+/// checkpoint a 6-epoch run writes. Without the shuffled row order in
+/// the checkpoint the resumed epochs train on a different permutation.
+#[test]
+fn blackbox_resume_is_bitwise_identical() {
+    let raw = DatasetId::Adult.generate_clean(1200, 3);
+    let data = EncodedDataset::from_raw(&raw);
+    let cfg = BlackBoxConfig { epochs: EPOCHS, ..Default::default() };
+    let mut reference = BlackBox::new(data.width(), &cfg);
+    let ref_losses = reference.train(&data.x, &data.y, &cfg);
+
+    let dir = scratch_dir("bb");
+    let first = BlackBoxConfig { epochs: PAUSE_AFTER, ..cfg };
+    BlackBox::new(data.width(), &cfg)
+        .train_with_checkpoints(
+            &data.x,
+            &data.y,
+            &first,
+            &CheckpointConfig::in_dir(dir.clone()),
+        )
+        .unwrap();
+    let mut resumed = BlackBox::new(data.width(), &cfg);
+    let losses = resumed
+        .train_with_checkpoints(
+            &data.x,
+            &data.y,
+            &cfg,
+            &CheckpointConfig::in_dir(dir.clone()).with_resume(true),
+        )
+        .unwrap();
+    assert_eq!(losses, ref_losses, "per-epoch losses diverged");
+    assert_eq!(param_bits(&resumed), param_bits(&reference), "weights diverged");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The same for the baselines' `PlainVae`, which shuffles one row order
+/// in place every epoch too.
+#[test]
+fn plain_vae_resume_is_bitwise_identical() {
+    let raw = DatasetId::Adult.generate_clean(1200, 3);
+    let x = EncodedDataset::from_raw(&raw).x.slice_rows(0, 512);
+    let cfg = PlainVaeConfig { epochs: EPOCHS, ..Default::default() };
+    let (reference, ref_losses) = PlainVae::fit(&x, &cfg);
+
+    let dir = scratch_dir("vae");
+    let first = PlainVaeConfig { epochs: PAUSE_AFTER, ..cfg };
+    PlainVae::fit_with_checkpoints(
+        &x,
+        &first,
+        &CheckpointConfig::in_dir(dir.clone()),
+    )
+    .unwrap();
+    let (resumed, losses) = PlainVae::fit_with_checkpoints(
+        &x,
+        &cfg,
+        &CheckpointConfig::in_dir(dir.clone()).with_resume(true),
+    )
+    .unwrap();
+    assert_eq!(losses, ref_losses, "per-epoch losses diverged");
+    assert_eq!(param_bits(&resumed), param_bits(&reference), "weights diverged");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -157,15 +157,21 @@ mod injected {
     /// model stays at its best snapshot and reports `Exhausted`.
     #[test]
     fn watchdog_exhausts_budget_gracefully() {
-        use cfx::core::WatchdogConfig;
+        use cfx::core::{CheckpointConfig, WatchdogConfig};
         let f = fixture();
         let mut model = small_model(&f);
         // Budget of zero retries: the first fault ends training.
         let watchdog = WatchdogConfig::default().with_max_retries(0);
         let fault = Fault { kind: FaultKind::Nan, op_index: 1_500 };
         let (report, fired) = guard::with_fault(fault, || {
-            model.fit_with_watchdog(&f.x_train, &watchdog, |_, _| {})
+            model.fit_with_checkpoints(
+                &f.x_train,
+                &watchdog,
+                &CheckpointConfig::disabled(),
+                |_, _| {},
+            )
         });
+        let report = report.expect("disabled checkpointing cannot fail");
         assert!(fired);
         assert_eq!(report.status, TrainStatus::Exhausted);
         // Whatever the snapshot holds is finite — corruption never
